@@ -50,26 +50,6 @@ func TestBuildKBContextMatchesWrappers(t *testing.T) {
 	}
 }
 
-// TestDeprecatedCorefWindowWrapperIsShim: BuildKBWithCorefWindow has no
-// internal callers left — examples and experiments pass WithCorefWindow —
-// and survives purely as a compatibility shim, so it must stay
-// byte-equivalent to the option it wraps.
-func TestDeprecatedCorefWindowWrapperIsShim(t *testing.T) {
-	f := getFixture(t)
-	sys := qkbfly.New(f.res, qkbfly.DefaultConfig())
-	const nDocs = 3
-
-	wrapKB, _ := sys.BuildKBWithCorefWindow(corpus.Docs(f.world.WikiDataset(nDocs)), 2)
-	optKB, _, err := sys.BuildKBContext(context.Background(),
-		corpus.Docs(f.world.WikiDataset(nDocs)), qkbfly.WithCorefWindow(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapKB.Fingerprint() != optKB.Fingerprint() {
-		t.Error("deprecated BuildKBWithCorefWindow shim differs from WithCorefWindow option")
-	}
-}
-
 // TestBuildKBForQueryContextEmptyRetrieval: an empty retrieval (no index
 // hits, or no index at all) must return a usable empty KB with consistent
 // BuildStats — zeroed stage timings and an empty, non-nil PerDocElapsed —

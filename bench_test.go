@@ -13,12 +13,13 @@ import (
 	"qkbfly"
 	"qkbfly/internal/corpus"
 	"qkbfly/internal/experiments"
+	"qkbfly/internal/nlp"
 	"qkbfly/internal/serve"
 )
 
 var benchEnv *experiments.Env
 
-func getBenchEnv(b *testing.B) *experiments.Env {
+func getBenchEnv(b testing.TB) *experiments.Env {
 	b.Helper()
 	if benchEnv == nil {
 		benchEnv = experiments.NewEnv(corpus.SmallConfig(), 2)
@@ -127,6 +128,40 @@ func benchBuildKBAtParallelism(b *testing.B, parallelism int) {
 // BenchmarkBuildKBSerial is the baseline: the staged pipeline with a
 // single worker, equivalent to the original per-document loop.
 func BenchmarkBuildKBSerial(b *testing.B) { benchBuildKBAtParallelism(b, 1) }
+
+// coldBuildAllocsBaseline is what one BenchmarkBuildKBSerial build (24
+// documents, one worker) allocated when the in-process harness last
+// recorded it (PR 9: 10461 allocations per build).
+const coldBuildAllocsBaseline = 10461
+
+// TestBuildKBSerialAllocations is the machine-independent gate on the
+// cold build: allocations per build may not exceed the recorded baseline
+// by more than 20%. Wall-clock is left to the benchmarks; an allocation
+// count repeats across machines.
+func TestBuildKBSerialAllocations(t *testing.T) {
+	env := getBenchEnv(t)
+	sys := env.System(qkbfly.Joint, qkbfly.Greedy)
+	const nDocs, runs = 24, 3
+	// Annotation mutates documents, so every build (AllocsPerRun adds one
+	// warm-up) gets a fresh set, generated outside the measured region.
+	sets := make([][]*nlp.Document, runs+1)
+	for i := range sets {
+		sets[i] = corpus.Docs(env.World.WikiDataset(nDocs))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		docs := sets[next]
+		next++
+		if _, _, err := sys.BuildKBContext(context.Background(), docs, qkbfly.WithParallelism(1)); err != nil {
+			t.Error(err)
+		}
+	})
+	if limit := 1.2 * coldBuildAllocsBaseline; allocs > limit {
+		t.Errorf("cold build allocates %.0f times per build, over the limit of %.0f (1.2 x %d)",
+			allocs, limit, coldBuildAllocsBaseline)
+	}
+	t.Logf("cold build: %.0f allocations per build (baseline %d)", allocs, coldBuildAllocsBaseline)
+}
 
 // BenchmarkBuildKBParallel runs the same batch with one worker per CPU.
 func BenchmarkBuildKBParallel(b *testing.B) { benchBuildKBAtParallelism(b, runtime.NumCPU()) }

@@ -72,29 +72,30 @@ func main() {
 	}
 	standing.Tau = 0.7
 	matches := sess.WatchPattern(ctx, standing)
-	drainMatches := func() {
-		shown := 0
-		total := 0
-		for {
-			select {
-			case ev, ok := <-matches:
-				if !ok {
-					return
-				}
-				total++
-				if shown < 2 {
-					fmt.Printf("   standing v%d match: %s %s %s\n", ev.Version,
-						ev.Row.Bindings["who"], ev.Row.Bindings["rel"].Literal, ev.Row.Bindings["what"])
-					shown++
-				}
-			default:
-				if total > shown {
-					fmt.Printf("   standing watch: +%d more matches this slide\n", total-shown)
-				}
-				return
+	// Matches are evaluated on the subscription's side of the feed and
+	// arrive after Ingest has returned, so a collector tallies them per
+	// version and the summary prints once the session has closed.
+	type tally struct {
+		sample []string
+		total  int
+	}
+	matched := make(chan map[uint64]*tally)
+	go func() {
+		byVersion := map[uint64]*tally{}
+		for ev := range matches {
+			t := byVersion[ev.Version]
+			if t == nil {
+				t = &tally{}
+				byVersion[ev.Version] = t
+			}
+			t.total++
+			if len(t.sample) < 2 {
+				t.sample = append(t.sample, fmt.Sprintf("%s %s %s",
+					ev.Row.Bindings["who"], ev.Row.Bindings["rel"].Literal, ev.Row.Bindings["what"]))
 			}
 		}
-	}
+		matched <- byVersion
+	}()
 
 	// Stories arrive event by event; each ingest pushes only the new
 	// documents' segments into the session's merge tree and publishes
@@ -144,10 +145,6 @@ func main() {
 				fmt.Printf("   v%d %.2f %s\n", e.Version, e.Fact.Confidence, e.Fact.String())
 			}
 		}
-
-		// The standing watch delivered this version's matches while
-		// Ingest was still returning; drain and show them.
-		drainMatches()
 	}
 
 	// The dashboard can keep querying old snapshots while new stories
@@ -157,6 +154,19 @@ func main() {
 	fmt.Printf("== window now at version %d: %d facts, %d about persons\n",
 		snap.Version(), snap.KB().Len(), len(persons))
 
-	sess.Close() // closes the watcher's channel
+	sess.Close() // published versions drain to both subscribers, then their channels close
 	fmt.Printf("== watcher saw %d distilled facts stream in live\n", <-watched)
+	byVersion := <-matched
+	for v := uint64(1); v <= snap.Version(); v++ {
+		t := byVersion[v]
+		if t == nil {
+			continue
+		}
+		for _, m := range t.sample {
+			fmt.Printf("   standing v%d match: %s\n", v, m)
+		}
+		if more := t.total - len(t.sample); more > 0 {
+			fmt.Printf("   standing watch: +%d more matches in v%d\n", more, v)
+		}
+	}
 }

@@ -253,23 +253,12 @@ func (e *Engine) RunShards(ctx context.Context, docs []*nlp.Document) ([]*store.
 // re-merging the window.
 func MergeShards(shards []*store.KB) *store.KB {
 	kb := store.New()
-	MergeShardsInto(kb, shards)
-	return kb
-}
-
-// MergeShardsInto folds per-document shards in slice order into an
-// existing KB, skipping nil entries — the incremental half of MergeShards.
-// Because store.KB.Merge is sequentially composable (merging shards
-// s1..sk and then sk+1..sn into the same KB yields the state of merging
-// s1..sn in one pass), appending a batch of new shards to a KB that
-// already holds the merge of earlier shards reproduces exactly the KB a
-// one-shot merge of all shards would have produced.
-func MergeShardsInto(dst *store.KB, shards []*store.KB) {
 	for _, shard := range shards {
 		if shard != nil {
-			dst.Merge(shard)
+			kb.Merge(shard)
 		}
 	}
+	return kb
 }
 
 // SealShards seals per-document KB shards into immutable store.Segments

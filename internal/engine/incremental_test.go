@@ -31,11 +31,12 @@ func synthShard(doc string, conf float64) *store.KB {
 	return kb
 }
 
-// TestMergeShardsIntoMatchesBatch: folding shards into an existing KB in
-// increments (the session path) reproduces the one-pass MergeShards
-// result, for every split point, including nil entries and cross-shard
-// dedup with confidence ties.
-func TestMergeShardsIntoMatchesBatch(t *testing.T) {
+// TestMergeShardsPrefixSuffixMatchesBatch: merging a prefix of the
+// shards, then folding the merged suffix into a clone of it, reproduces
+// the one-pass MergeShards result for every split point — the flat merge
+// re-brackets like the segment tree does — including nil entries and
+// cross-shard dedup with confidence ties.
+func TestMergeShardsPrefixSuffixMatchesBatch(t *testing.T) {
 	shards := []*store.KB{
 		synthShard("d1", 0.6),
 		nil, // unprocessed slot, as after a cancelled run
@@ -46,26 +47,22 @@ func TestMergeShardsIntoMatchesBatch(t *testing.T) {
 	want := engine.MergeShards(shards).Fingerprint()
 
 	for split := 0; split <= len(shards); split++ {
-		kb := store.New()
-		engine.MergeShardsInto(kb, shards[:split])
-		// The session folds later increments into a clone of the current KB.
+		kb := engine.MergeShards(shards[:split])
 		next := kb.Clone()
-		engine.MergeShardsInto(next, shards[split:])
+		next.Merge(engine.MergeShards(shards[split:]))
 		if got := next.Fingerprint(); got != want {
-			t.Errorf("split at %d: incremental merge differs from batch", split)
+			t.Errorf("split at %d: prefix + suffix merge differs from batch", split)
 		}
 		// The pre-split KB must be untouched by the continuation.
-		ref := store.New()
-		engine.MergeShardsInto(ref, shards[:split])
-		if kb.Fingerprint() != ref.Fingerprint() {
+		if kb.Fingerprint() != engine.MergeShards(shards[:split]).Fingerprint() {
 			t.Errorf("split at %d: continuation mutated the base KB", split)
 		}
 	}
 }
 
-// TestMergeShardsIntoRealShards: the same split-anywhere property over
-// real engine shards from the sample corpus.
-func TestMergeShardsIntoRealShards(t *testing.T) {
+// TestMergeShardsPrefixSuffixRealShards: the same split-anywhere
+// property over real engine shards from the sample corpus.
+func TestMergeShardsPrefixSuffixRealShards(t *testing.T) {
 	eng, docs := newTestEngine(t, 6)
 	shards, _, err := eng.RunShards(context.Background(), docs)
 	if err != nil {
@@ -73,12 +70,10 @@ func TestMergeShardsIntoRealShards(t *testing.T) {
 	}
 	want := engine.MergeShards(shards).Fingerprint()
 	for _, split := range []int{1, 3, 5} {
-		kb := store.New()
-		engine.MergeShardsInto(kb, shards[:split])
-		next := kb.Clone()
-		engine.MergeShardsInto(next, shards[split:])
+		next := engine.MergeShards(shards[:split])
+		next.Merge(engine.MergeShards(shards[split:]))
 		if next.Fingerprint() != want {
-			t.Errorf("split at %d: incremental merge differs from batch", split)
+			t.Errorf("split at %d: prefix + suffix merge differs from batch", split)
 		}
 	}
 }

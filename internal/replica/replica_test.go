@@ -103,6 +103,7 @@ type faultyTransport struct {
 	base                                  replica.DialFunc
 	seed                                  int64
 	dials                                 atomic.Int64
+	injected                              atomic.Int64 // records dropped, duplicated, reordered or truncated
 	pDrop, pDup, pReorder, pDelay, pTrunc float64
 }
 
@@ -134,13 +135,16 @@ func (ft *faultyTransport) dial(ctx context.Context, rawURL string) (io.ReadClos
 			p := ft.pDrop
 			switch {
 			case r < p: // drop this record
+				ft.injected.Add(1)
 				continue
 			case r < p+ft.pDup: // deliver twice
+				ft.injected.Add(1)
 				if !write(line) || !write(line) {
 					return
 				}
 			case r < p+ft.pDup+ft.pReorder: // hold until after the next record
 				if held == nil {
+					ft.injected.Add(1)
 					held = append([]byte(nil), line...)
 					continue
 				}
@@ -148,6 +152,7 @@ func (ft *faultyTransport) dial(ctx context.Context, rawURL string) (io.ReadClos
 					return
 				}
 			case r < p+ft.pDup+ft.pReorder+ft.pTrunc: // cut mid-record, close
+				ft.injected.Add(1)
 				if len(line) > 2 {
 					write(line[:len(line)/2])
 				}
@@ -243,6 +248,28 @@ func (rf *runningFollower) stop() {
 	<-rf.done
 }
 
+// waitWithin blocks until the follower has verified a version at most
+// lag behind head. The leader loop of the fault test paces itself with
+// it, so every incarnation consumes records through the hostile
+// transport however the scheduler interleaves leader and followers; the
+// slack keeps a record the transport dropped or is holding at the tail
+// of an idle stream from stalling the leader (the next version exposes
+// the gap and the follower reconnects).
+func waitWithin(t *testing.T, rf *runningFollower, head, lag uint64, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		_, v := rf.f.KB()
+		if v+lag >= head {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at v%d, leader at v%d; counters %v", v, head, rf.f.Status().Counters)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func waitConverged(t *testing.T, rf *runningFollower, wantVersion uint64, wantSHA string, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -296,7 +323,9 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 			Dial:        ft.dial,
 			BackoffBase: 2 * time.Millisecond,
 			BackoffMax:  20 * time.Millisecond,
-			ReadTimeout: 2 * time.Second,
+			// The watchdog is what recovers a record dropped or held at the
+			// tail of an idle stream, so it bounds each such stall.
+			ReadTimeout: 250 * time.Millisecond,
 			Logf:        discardLogf,
 			OnVerified:  checker.Observer(name),
 		})
@@ -319,6 +348,8 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 				checker.RecordLeader(snap.Version(), sess.FingerprintSHA(snap))
 			}
 		}
+		waitWithin(t, cold, sess.Version(), 2, 30*time.Second)
+		waitWithin(t, warm, sess.Version(), 2, 30*time.Second)
 		if i%10 == 9 {
 			// Crash: the replacement starts cold (since 0) under a new
 			// incarnation name — its fresh history must again be a prefix.
@@ -351,13 +382,15 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 	if err := checker.Check(); err != nil {
 		t.Fatalf("history checker: %v", err)
 	}
-	// The transport really was hostile: the follower had to reconnect.
-	c := cold.f.Counters()
-	if c.Get(replica.CounterReconnects) < 2 {
-		t.Errorf("expected multiple reconnects under faults, got %d", c.Get(replica.CounterReconnects))
+	// The transport really was hostile. Counted at the injector, not at
+	// one follower: each incarnation keeps its own counters, and the last
+	// one may have seen a single clean reset record.
+	if n := ft.injected.Load(); n < 2 {
+		t.Errorf("transport injected %d faults over %d dials, want several", n, ft.dials.Load())
 	}
-	t.Logf("cold follower counters: %v", cold.f.Status().Counters)
-	t.Logf("warm follower counters: %v", warm.f.Status().Counters)
+	t.Logf("transport: %d faults injected over %d dials", ft.injected.Load(), ft.dials.Load())
+	t.Logf("last cold incarnation counters: %v", cold.f.Status().Counters)
+	t.Logf("last warm incarnation counters: %v", warm.f.Status().Counters)
 }
 
 // TestFollowerQuarantinesCorruptDelta injects a bit-flipped (but

@@ -204,13 +204,9 @@ func handleKB(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.Requ
 		http.Error(w, "invalid limit: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	var tau float64
-	if v := q.Get("tau"); v != "" {
-		tau, err = strconv.ParseFloat(v, 64)
-		if err != nil {
-			http.Error(w, "invalid tau: "+err.Error(), http.StatusBadRequest)
-			return
-		}
+	tau, ok := floatParam(w, r, "tau")
+	if !ok {
+		return
 	}
 	res, err := s.KB(r.Context(), query, source, size)
 	if err != nil {
@@ -455,11 +451,13 @@ func lineFor(v uint64, f *store.Fact) factLine {
 
 // handleFacts streams the facts the session added after ?since= as NDJSON
 // (one JSON object per line), newest version stamped in the
-// X-QKBfly-Version header. When since predates the retained history
-// horizon, a {"reset":true} line is emitted followed by a full dump of
-// the current snapshot — the client re-bases and resumes from the header
-// version. With ?follow=1 the response then stays open, streaming facts
-// as further ingests land, until the client disconnects.
+// X-QKBfly-Version header: the plain-fact projection (added, then
+// changed in place, filtered by the request's own ?tau=) of the
+// session Feed. When since predates the retained history horizon, a
+// {"reset":true} line is emitted followed by a full dump of the current
+// snapshot — the client re-bases and resumes from the header version.
+// With ?follow=1 the response then stays open, streaming facts as
+// further ingests land, until the client disconnects.
 func handleFacts(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	if !getOnly(w, r) {
 		return
@@ -473,93 +471,59 @@ func handleFacts(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no ingestion session configured", http.StatusServiceUnavailable)
 		return
 	}
-	q := r.URL.Query()
-	var since uint64
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "invalid since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = n
-	}
-	var tau float64
-	if v := q.Get("tau"); v != "" {
-		n, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			http.Error(w, "invalid tau: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		tau = n
-	}
-	min, okMin := minVersionParam(w, r)
-	if !okMin {
+	since, tau, min, ok := factsParams(w, r)
+	if !ok {
 		return
 	}
-	follow := q.Get("follow") != ""
 	if min > 0 && !checkMinVersion(w, sess.Snapshot().Version(), min) {
 		return
 	}
+	feed := sess.Feed(r.Context(), qkbfly.FeedStart{
+		Since: since, Tail: r.URL.Query().Get("follow") != "", Drops: qkbfly.CounterWatchDrops,
+	})
+	streamFeed(w, opt, feed,
+		func(snap *qkbfly.Snapshot, sw *streamWriter) error {
+			return writeFactDump(sw, snap.KB(), snap.Version(), tau)
+		},
+		func(ev qkbfly.DeltaEvent, sw *streamWriter) error {
+			for _, fe := range ev.Facts(tau) {
+				if err := sw.encode(lineFor(fe.Version, &fe.Fact)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+}
 
-	// Attach the live tail before replaying history so no version can fall
-	// between the two; replayed versions are skipped on the live channel.
-	// The tail uses the request's own tau (not the session τ), matching
-	// the replay filter.
-	var live <-chan qkbfly.FactEvent
-	if follow {
-		live = sess.WatchMin(r.Context(), tau)
-	}
-	events, cur, ok := sess.FactsSince(since)
-	var snap *qkbfly.Snapshot
-	if !ok {
-		// History behind since is gone: re-base on a full snapshot. The
-		// snapshot may already be newer than the FactsSince horizon (an
-		// ingest can land between the two calls); the header, the dump
-		// stamps and the live-tail skip all use the snapshot's version so
-		// the client never sees a fact twice.
-		snap = sess.Snapshot()
-		cur = snap.Version()
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-QKBfly-Version", strconv.FormatUint(cur, 10))
-	w.WriteHeader(http.StatusOK)
-	sw := newStreamWriter(w, opt.StreamWriteTimeout)
-
-	if snap != nil {
-		if sw.encode(map[string]any{"reset": true, "version": cur}) != nil {
-			return
-		}
-		facts := snap.KB().Facts()
-		for i := range facts {
-			if facts[i].Confidence < tau {
-				continue
-			}
-			if sw.encode(lineFor(cur, &facts[i])) != nil {
-				return
-			}
-		}
-	} else {
-		for i := range events {
-			if events[i].Fact.Confidence < tau {
-				continue
-			}
-			if sw.encode(lineFor(events[i].Version, &events[i].Fact)) != nil {
-				return
-			}
-		}
-	}
-	if !follow {
+// factsParams parses what /facts takes on a leader and a follower
+// alike: ?since=, ?tau= and ?min_version=.
+func factsParams(w http.ResponseWriter, r *http.Request) (since uint64, tau float64, min uint64, ok bool) {
+	if since, ok = uintParam(w, r, "since"); !ok {
 		return
 	}
-	for ev := range live {
-		if ev.Version <= cur {
-			continue // already replayed above
+	if tau, ok = floatParam(w, r, "tau"); !ok {
+		return
+	}
+	min, ok = uintParam(w, r, "min_version")
+	return
+}
+
+// writeFactDump writes the /facts re-baseline block: the reset line,
+// then every fact of kb at or above tau, stamped with version v.
+func writeFactDump(sw *streamWriter, kb *store.KB, v uint64, tau float64) error {
+	if err := sw.encode(resetLine(v)); err != nil {
+		return err
+	}
+	facts := kb.Facts()
+	for i := range facts {
+		if facts[i].Confidence < tau {
+			continue
 		}
-		if sw.encode(lineFor(ev.Version, &ev.Fact)) != nil {
-			return // client gone or write deadline hit
+		if err := sw.encode(lineFor(v, &facts[i])); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 func statsElapsed(res *Result) time.Duration {
@@ -600,6 +564,36 @@ func intParam(v string, def, min int) (int, error) {
 		return 0, fmt.Errorf("%d is below the minimum %d", n, min)
 	}
 	return n, nil
+}
+
+// uintParam parses an optional unsigned query parameter (a version):
+// absent means 0, and a malformed value is a 400, reported through
+// ok=false with the response already written.
+func uintParam(w http.ResponseWriter, r *http.Request, name string) (n uint64, ok bool) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		http.Error(w, "invalid "+name+": "+err.Error(), http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
+}
+
+// floatParam is uintParam for an optional float (a confidence threshold).
+func floatParam(w http.ResponseWriter, r *http.Request, name string) (f float64, ok bool) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return 0, true
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		http.Error(w, "invalid "+name+": "+err.Error(), http.StatusBadRequest)
+		return 0, false
+	}
+	return f, true
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -117,24 +117,16 @@ func contentKeySHA(key string) string {
 // then one analytic delta per published version.
 func followAnalytics(tr *qkbfly.AnalyticsTracker, opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	// Attach the live tail before reading the summary so no version can
-	// fall between the two; already-summarized versions are skipped.
+	// fall between the two; followTail skips the ones it already covers.
 	live := tr.WatchAnalytics(r.Context())
 	sum, key, _ := tr.Summary()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-QKBfly-Version", strconv.FormatUint(sum.Version, 10))
-	w.WriteHeader(http.StatusOK)
-	sw := newStreamWriter(w, opt.StreamWriteTimeout)
+	sw := startStream(w, opt, sum.Version)
 	first := analyticsResponse{Summary: sum, ContentID: contentKeySHA(key), ServedFromCache: true, Growth: []analytics.VersionDelta{}}
 	if sw.encode(first) != nil {
 		return
 	}
-	for vd := range live {
-		if vd.Version <= sum.Version {
-			continue // already covered by the summary record
-		}
-		if sw.encode(vd) != nil {
-			return // client gone or write deadline hit
-		}
-	}
+	followTail(sw, sum.Version, live,
+		func(vd analytics.VersionDelta) uint64 { return vd.Version },
+		func(vd analytics.VersionDelta, sw *streamWriter) error { return sw.encode(vd) })
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 
 	"qkbfly"
 	"qkbfly/internal/kb/store"
@@ -10,11 +9,12 @@ import (
 )
 
 // handleDeltas serves GET /deltas?since=N&follow=1[&snapshot=1] — the
-// leader side of the replication protocol: an NDJSON stream of
-// replica.Record, one per published session version after since, each
-// carrying the full key-based store.Delta (fact additions, upgrades,
-// removals, entity changes) stamped with the hex SHA-256 of that
-// version's KB fingerprint.
+// leader side of the replication protocol, and the session Feed with no
+// projection at all: an NDJSON stream of replica.Record, one per
+// published session version after since, each carrying the full
+// key-based store.Delta (fact additions, upgrades, removals, entity
+// changes) stamped with the hex SHA-256 of that version's KB
+// fingerprint.
 //
 // When since predates the retained history horizon, or the subscriber
 // demands snapshot=1 (a follower recovering from a quarantined
@@ -33,89 +33,45 @@ func handleDeltas(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.
 		http.Error(w, "no ingestion session configured (followers do not re-export /deltas)", http.StatusServiceUnavailable)
 		return
 	}
-	q := r.URL.Query()
-	var since uint64
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "invalid since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = n
-	}
-	follow := q.Get("follow") != ""
-	wantSnapshot := q.Get("snapshot") != ""
-	s.counters.Add(CounterDeltaStreams, 1)
-
-	// Attach the live tail before replaying history so no version can
-	// fall between the two; replayed versions are skipped below.
-	var live <-chan qkbfly.DeltaEvent
-	if follow {
-		live = sess.WatchDeltas(r.Context())
-	}
-	var recs []qkbfly.DeltaRecord
-	var cur uint64
-	ok := false
-	if !wantSnapshot {
-		recs, cur, ok = sess.DeltaRecordsSince(since)
-	}
-	var snap *qkbfly.Snapshot
+	since, ok := uintParam(w, r, "since")
 	if !ok {
-		// Re-baseline: the demanded (or horizon-forced) snapshot is the
-		// diff from empty, so the subscriber applies it to a fresh store
-		// regardless of how far it diverged.
-		snap = sess.Snapshot()
-		cur = snap.Version()
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-QKBfly-Version", strconv.FormatUint(cur, 10))
-	w.WriteHeader(http.StatusOK)
-	sw := newStreamWriter(w, opt.StreamWriteTimeout)
-
-	if snap != nil {
-		delta := store.Diff(store.New(), snap.KB())
-		rec := replica.Record{
-			Version:        cur,
-			FingerprintSHA: sess.FingerprintSHA(snap),
-			Reset:          true,
-			Delta:          &delta,
-		}
-		if sw.encode(rec) != nil {
-			return
-		}
-		s.counters.Add(CounterDeltaRecords, 1)
-	} else {
-		for i := range recs {
-			rec := replica.Record{
-				Version:        recs[i].Version,
-				FingerprintSHA: recs[i].FingerprintSHA,
-				Delta:          &recs[i].Delta,
-			}
-			if sw.encode(rec) != nil {
-				return
-			}
-			s.counters.Add(CounterDeltaRecords, 1)
-		}
-	}
-	if !follow {
 		return
 	}
-	s.counters.Add(CounterDeltaStreamsActive, 1)
-	defer s.counters.Add(CounterDeltaStreamsActive, -1)
-	for ev := range live {
-		if ev.Version <= cur {
-			continue // already replayed above
-		}
-		delta := ev.Delta
-		rec := replica.Record{
-			Version:        ev.Version,
-			FingerprintSHA: sess.FingerprintSHA(ev.Snap),
-			Delta:          &delta,
-		}
-		if sw.encode(rec) != nil {
-			return // client gone or write deadline hit
+	q := r.URL.Query()
+	follow := q.Get("follow") != ""
+	s.counters.Add(CounterDeltaStreams, 1)
+	if follow {
+		s.counters.Add(CounterDeltaStreamsActive, 1)
+		defer s.counters.Add(CounterDeltaStreamsActive, -1)
+	}
+	feed := sess.Feed(r.Context(), qkbfly.FeedStart{
+		Since: since, Snapshot: q.Get("snapshot") != "", Tail: follow, Drops: qkbfly.CounterDeltaWatchDrops,
+	})
+	record := func(rec replica.Record, sw *streamWriter) error {
+		if err := sw.encode(rec); err != nil {
+			return err
 		}
 		s.counters.Add(CounterDeltaRecords, 1)
+		return nil
 	}
+	streamFeed(w, opt, feed,
+		func(snap *qkbfly.Snapshot, sw *streamWriter) error {
+			// Re-baseline: the demanded (or horizon-forced) snapshot ships as
+			// the diff from empty, so the subscriber applies it to a fresh
+			// store regardless of how far it diverged.
+			delta := store.Diff(store.New(), snap.KB())
+			return record(replica.Record{
+				Version:        snap.Version(),
+				FingerprintSHA: sess.FingerprintSHA(snap),
+				Reset:          true,
+				Delta:          &delta,
+			}, sw)
+		},
+		func(ev qkbfly.DeltaEvent, sw *streamWriter) error {
+			return record(replica.Record{
+				Version:        ev.Version,
+				FingerprintSHA: sess.FingerprintSHA(ev.Snap),
+				Delta:          &ev.Delta,
+			}, sw)
+		})
 }

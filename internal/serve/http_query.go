@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
 
 	"qkbfly"
 	"qkbfly/internal/kb/store"
@@ -24,12 +23,13 @@ import (
 // repeated dashboards cost one evaluation per published version.
 // stream=1 bypasses the cache and streams rows as the executor produces
 // them — for large results that should not be buffered server-side.
-// since=N replays the incremental matches introduced by versions N+1
-// through the current one (each version's delta evaluated against the
-// current tree), emits a {"reset":true} line and a full answer instead
-// when N predates the history horizon, and with follow=1 keeps the
-// response open, streaming matches from a standing session watch as
-// further ingests land.
+// since=N is the pattern projection of the session Feed: it replays
+// the incremental matches introduced by versions N+1 through the
+// current one (each version's delta evaluated against that version's
+// tree, exactly what a follower attached at N would have received),
+// emits a {"reset":true} line and a full answer instead when N predates
+// the history horizon, and with follow=1 keeps the response open,
+// streaming each further version's matches as ingests land.
 
 // queryRequest is the POST /query body; GET parameters map to the same
 // fields.
@@ -108,13 +108,8 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request) (req queryRequest
 	case http.MethodGet:
 		q := r.URL.Query()
 		req.Pattern = q.Get("pattern")
-		if v := q.Get("tau"); v != "" {
-			n, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				http.Error(w, "invalid tau: "+err.Error(), http.StatusBadRequest)
-				return req, false
-			}
-			req.Tau = n
+		if req.Tau, ok = floatParam(w, r, "tau"); !ok {
+			return req, false
 		}
 		limit, err := intParam(q.Get("limit"), 0, 0)
 		if err != nil {
@@ -124,21 +119,15 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request) (req queryRequest
 		req.Limit = limit
 		req.Stream = q.Get("stream") != ""
 		req.Follow = q.Get("follow") != ""
-		if v := q.Get("since"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "invalid since: "+err.Error(), http.StatusBadRequest)
+		if q.Get("since") != "" {
+			n, ok := uintParam(w, r, "since")
+			if !ok {
 				return req, false
 			}
 			req.Since = &n
 		}
-		if v := q.Get("min_version"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "invalid min_version: "+err.Error(), http.StatusBadRequest)
-				return req, false
-			}
-			req.MinVersion = n
+		if req.MinVersion, ok = uintParam(w, r, "min_version"); !ok {
+			return req, false
 		}
 	case http.MethodPost:
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
@@ -198,19 +187,8 @@ func handleQuery(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.R
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-QKBfly-Version", strconv.FormatUint(snap.Version(), 10))
-		w.WriteHeader(http.StatusOK)
-		sw := newStreamWriter(w, opt.StreamWriteTimeout)
-		for {
-			row, ok := rows.Next()
-			if !ok {
-				return
-			}
-			if sw.encode(rowFor(snap.Version(), row)) != nil {
-				return // client gone or write deadline hit
-			}
-		}
+		_ = writeRows(startStream(w, opt, snap.Version()), snap.Version(), rows)
+		return
 	}
 	rows, cached, err := s.QueryPattern(r.Context(), snap, p)
 	if err != nil {
@@ -233,64 +211,44 @@ func handleQuery(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.R
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// writeRows streams an executor's rows stamped with version v, as the
+// executor produces them.
+func writeRows(sw *streamWriter, v uint64, rows *query.Rows) error {
+	for {
+		row, ok := rows.Next()
+		if !ok {
+			return nil
+		}
+		if err := sw.encode(rowFor(v, row)); err != nil {
+			return err // client gone or write deadline hit
+		}
+	}
+}
+
 // streamIncremental serves the ?since= form: NDJSON incremental matches
 // per published version, optionally following the live session.
 func streamIncremental(opt HandlerOptions, w http.ResponseWriter, r *http.Request, p *query.Pattern, since uint64, follow bool) {
-	sess := opt.Session
-
-	// Attach the standing watch before replaying so no version can fall
-	// between replay and tail; replayed versions are skipped below.
-	var live <-chan qkbfly.PatternEvent
-	if follow {
-		live = sess.WatchPattern(r.Context(), p)
-	}
-	deltas, cur, ok := sess.DeltaSince(since)
-	snap := sess.Snapshot()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-QKBfly-Version", strconv.FormatUint(cur, 10))
-	w.WriteHeader(http.StatusOK)
-	sw := newStreamWriter(w, opt.StreamWriteTimeout)
-
-	if !ok {
-		// History behind since is gone: re-base on the full current answer.
-		if sw.encode(map[string]any{"reset": true, "version": cur}) != nil {
-			return
-		}
-		rows, err := snap.Query(p)
-		if err == nil {
-			for {
-				row, more := rows.Next()
-				if !more {
-					break
-				}
-				if sw.encode(rowFor(cur, row)) != nil {
-					return
+	feed := opt.Session.Feed(r.Context(), qkbfly.FeedStart{
+		Since: since, Tail: follow, Drops: qkbfly.CounterPatternWatchDrops,
+	})
+	streamFeed(w, opt, feed,
+		func(snap *qkbfly.Snapshot, sw *streamWriter) error {
+			// History behind since is gone: re-base on the full current answer.
+			if err := sw.encode(resetLine(snap.Version())); err != nil {
+				return err
+			}
+			rows, err := snap.Query(p)
+			if err != nil {
+				return nil // p was validated; an unanswerable pattern re-bases on nothing
+			}
+			return writeRows(sw, snap.Version(), rows)
+		},
+		func(ev qkbfly.DeltaEvent, sw *streamWriter) error {
+			for _, row := range query.EvalDelta(ev.Snap.Tree(), p, ev.Delta) {
+				if err := sw.encode(rowFor(ev.Version, row)); err != nil {
+					return err
 				}
 			}
-		}
-	} else {
-		// deltas carry versions since+1..cur, oldest first; each is
-		// evaluated against the current tree (the matches as they stand
-		// now, seeded by what that version changed).
-		for i, d := range deltas {
-			v := since + 1 + uint64(i)
-			for _, row := range query.EvalDelta(snap.Tree(), p, d) {
-				if sw.encode(rowFor(v, row)) != nil {
-					return
-				}
-			}
-		}
-	}
-	if !follow {
-		return
-	}
-	for ev := range live {
-		if ev.Version <= cur {
-			continue // already replayed above
-		}
-		if sw.encode(rowFor(ev.Version, ev.Row)) != nil {
-			return // client gone or write deadline hit
-		}
-	}
+			return nil
+		})
 }

@@ -22,20 +22,6 @@ import (
 // Failed instead of silently serving stale data, and the client retries
 // or falls back to the leader.
 
-// minVersionParam parses ?min_version= (0 when absent).
-func minVersionParam(w http.ResponseWriter, r *http.Request) (uint64, bool) {
-	v := r.URL.Query().Get("min_version")
-	if v == "" {
-		return 0, true
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		http.Error(w, "invalid min_version: "+err.Error(), http.StatusBadRequest)
-		return 0, false
-	}
-	return n, true
-}
-
 // checkMinVersion enforces a client's pinned floor against the version
 // actually being served; false means the 412 was already written.
 func checkMinVersion(w http.ResponseWriter, serving, min uint64) bool {
@@ -59,25 +45,7 @@ func handleFactsReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Reque
 		http.Error(w, "followers do not stream /facts; follow=1 against the leader", http.StatusBadRequest)
 		return
 	}
-	var since uint64
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "invalid since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = n
-	}
-	var tau float64
-	if v := q.Get("tau"); v != "" {
-		n, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			http.Error(w, "invalid tau: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		tau = n
-	}
-	min, ok := minVersionParam(w, r)
+	since, tau, min, ok := factsParams(w, r)
 	if !ok {
 		return
 	}
@@ -85,25 +53,11 @@ func handleFactsReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Reque
 	if !checkMinVersion(w, cur, min) {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-QKBfly-Version", strconv.FormatUint(cur, 10))
-	w.WriteHeader(http.StatusOK)
-	sw := newStreamWriter(w, opt.StreamWriteTimeout)
+	sw := startStream(w, opt, cur)
 	if since >= cur {
 		return // caller is current; nothing newer here
 	}
-	if sw.encode(map[string]any{"reset": true, "version": cur}) != nil {
-		return
-	}
-	facts := kb.Facts()
-	for i := range facts {
-		if facts[i].Confidence < tau {
-			continue
-		}
-		if sw.encode(lineFor(cur, &facts[i])) != nil {
-			return
-		}
-	}
+	_ = writeFactDump(sw, kb, cur, tau) // a write error only ends the stream
 }
 
 // handleQueryReplica is /query on a follower: the pattern is evaluated
@@ -136,10 +90,7 @@ func handleQueryReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Reque
 	kb, cur := opt.Replica.KB()
 	rows := query.ScanKB(kb, p)
 	if req.Stream {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-QKBfly-Version", strconv.FormatUint(cur, 10))
-		w.WriteHeader(http.StatusOK)
-		sw := newStreamWriter(w, opt.StreamWriteTimeout)
+		sw := startStream(w, opt, cur)
 		for _, row := range rows {
 			if sw.encode(rowFor(cur, row)) != nil {
 				return

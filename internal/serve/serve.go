@@ -96,8 +96,8 @@ const (
 	// Replication (leader side): CounterDeltaStreams counts /deltas
 	// subscriptions ever served (a non-zero value marks the process a
 	// leader in /healthz); CounterDeltaStreamsActive is the live-stream
-	// gauge (+1/-1 around each follow loop); CounterDeltaRecords the
-	// fingerprint-stamped records shipped.
+	// gauge (+1/-1 around each follow=1 response); CounterDeltaRecords
+	// the fingerprint-stamped records shipped.
 	CounterDeltaStreams       = "delta_streams"
 	CounterDeltaStreamsActive = "delta_streams_active"
 	CounterDeltaRecords       = "delta_records"
@@ -167,17 +167,17 @@ type Server struct {
 	opt      Options
 	counters *stats.CounterSet
 
-	mu       sync.Mutex // guards queries, shards, runs and patterns
-	queries  *lruCache  // query key   -> *queryEntry
-	shards   *lruCache  // doc key     -> *store.Segment (sealed shard)
-	runs     *lruCache  // combined id -> *store.Segment (partial merge)
-	patterns *lruCache  // cid+pattern key -> *patternEntry (see serve_query.go)
+	queries  *cache[*queryEntry]    // by query key
+	shards   *cache[*store.Segment] // sealed shards, by doc key
+	runs     *cache[*store.Segment] // partial merges, by combined segment id
+	patterns *cache[*patternEntry]  // by cid+pattern key (see serve_query.go)
 	flight   *flightGroup[*Result]
 	pflight  *flightGroup[[]query.Row]
 
 	// persistStats, when set (SetPersistStats), supplies the durable
 	// segment store's counters for /stats — blob writeback, fault-ins,
 	// demotions, recovery. Guarded by mu.
+	mu           sync.Mutex
 	persistStats func() map[string]int64
 }
 
@@ -198,14 +198,17 @@ func New(backend Backend, opt Options) *Server {
 	if opt.Clock == nil {
 		opt.Clock = time.Now
 	}
+	counters := stats.NewCounterSet()
 	return &Server{
 		backend:  backend,
 		opt:      opt,
-		counters: stats.NewCounterSet(),
-		queries:  newLRU(opt.Capacity),
-		shards:   newLRU(opt.ShardCapacity),
-		runs:     newLRU(opt.RunCapacity),
-		patterns: newLRU(opt.PatternCapacity),
+		counters: counters,
+		queries:  newCache[*queryEntry](opt.Capacity, opt, counters, CounterQueryEvictions, CounterQueryTTLEvictions),
+		shards:   newCache[*store.Segment](opt.ShardCapacity, opt, counters, CounterShardEvictions, CounterShardTTLEvictions),
+		// No eviction counters for runs and patterns: both rebuild cheaply
+		// from live segments and expire under the same TTL.
+		runs:     newCache[*store.Segment](opt.RunCapacity, opt, counters, "", ""),
+		patterns: newCache[*patternEntry](opt.PatternCapacity, opt, counters, "", ""),
 		flight:   newFlightGroup[*Result](),
 		pflight:  newFlightGroup[[]query.Row](),
 	}
@@ -249,7 +252,6 @@ func (s *Server) SetPersistStats(fn func() map[string]int64) {
 // Stats returns the current counters and cache occupancy.
 func (s *Server) Stats() Snapshot {
 	s.mu.Lock()
-	q, sh, rn, pt := s.queries.len(), s.shards.len(), s.runs.len(), s.patterns.len()
 	ps := s.persistStats
 	s.mu.Unlock()
 	var persist map[string]int64
@@ -264,13 +266,13 @@ func (s *Server) Stats() Snapshot {
 	return Snapshot{
 		Counters:        counters,
 		Persist:         persist,
-		QueryEntries:    q,
+		QueryEntries:    s.queries.len(),
 		QueryCapacity:   s.opt.Capacity,
-		ShardEntries:    sh,
+		ShardEntries:    s.shards.len(),
 		ShardCapacity:   s.opt.ShardCapacity,
-		RunEntries:      rn,
+		RunEntries:      s.runs.len(),
 		RunCapacity:     s.opt.RunCapacity,
-		PatternEntries:  pt,
+		PatternEntries:  s.patterns.len(),
 		PatternCapacity: s.opt.PatternCapacity,
 	}
 }
@@ -286,14 +288,14 @@ func (s *Server) Stats() Snapshot {
 // rebuilds. A joiner's own cancellation only detaches that joiner.
 func (s *Server) KB(ctx context.Context, query, source string, size int, opts ...qkbfly.Option) (*Result, error) {
 	key := queryKey(query, source, size, opts)
-	if e := s.lookupQuery(key); e != nil {
+	if e, ok := s.queries.get(key); ok {
 		s.recordQueryHit(e)
 		return &Result{KB: e.kb, Docs: e.docs, Stats: copyStats(e.bs), CacheHit: true}, nil
 	}
 	fr, joined, err := s.flight.do(ctx, key, func() *flightResult[*Result] {
 		// Double-check: a previous leader may have filled the cache
 		// between our miss and acquiring the flight.
-		if e := s.lookupQuery(key); e != nil {
+		if e, ok := s.queries.get(key); ok {
 			s.recordQueryHit(e)
 			return &flightResult[*Result]{res: &Result{KB: e.kb, Docs: e.docs, Stats: copyStats(e.bs), CacheHit: true}}
 		}
@@ -304,7 +306,7 @@ func (s *Server) KB(ctx context.Context, query, source string, size int, opts ..
 		if err == nil {
 			// The cached entry keeps its own copy of the accounting so a
 			// caller mutating res.Stats cannot corrupt later hits.
-			s.storeQuery(key, &queryEntry{kb: kb, docs: docs, bs: copyStats(bs), fingerprint: kb.Fingerprint()})
+			s.queries.put(key, &queryEntry{kb: kb, docs: docs, bs: copyStats(bs), fingerprint: kb.Fingerprint()})
 		}
 		return &flightResult[*Result]{res: res, err: err}
 	})
@@ -392,13 +394,13 @@ func (s *Server) MergeSegments(a, b *store.Segment) *store.Segment {
 	if key == "" {
 		return store.MergeSegments(a, b)
 	}
-	if run := s.lookupRun(key); run != nil {
+	if run, ok := s.runs.get(key); ok {
 		s.counters.Add(CounterRunHits, 1)
 		return run
 	}
 	s.counters.Add(CounterRunMisses, 1)
 	m := store.MergeSegments(a, b)
-	s.storeRun(key, m)
+	s.runs.put(key, m)
 	return m
 }
 
@@ -464,21 +466,16 @@ func (s *Server) OpenSession(opts qkbfly.SessionOptions) *qkbfly.Session {
 // cannot be invalidated per document: any removal clears it wholesale
 // (it re-warms on the next folds).
 func (s *Server) InvalidateShards(docIDs ...string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	removed := 0
 	for _, id := range docIDs {
-		for _, key := range s.shards.keysWithPrefix(id + "\x00") {
-			s.shards.remove(key)
-			removed++
-		}
+		removed += len(s.shards.takePrefix(id + "\x00"))
 	}
 	// The run cache clears even when no leaf was found: the leaf may have
 	// been LRU- or TTL-evicted after a run containing it was cached, and
 	// a stale run under the document's unchanged identity would otherwise
 	// serve the replaced content.
 	if len(docIDs) > 0 {
-		s.runs = newLRU(s.opt.RunCapacity)
+		s.runs.clear()
 	}
 	return removed
 }
@@ -501,7 +498,7 @@ func (s *Server) assembleSegments(ctx context.Context, docs []*nlp.Document, opt
 		// anonymous documents must never collide on one cache key.
 		var se *store.Segment
 		if d.ID != "" {
-			se = s.lookupShard(shardKey(d.ID, okey))
+			se, _ = s.shards.get(shardKey(d.ID, okey))
 		}
 		if se != nil {
 			segs[i] = se
@@ -548,7 +545,7 @@ func (s *Server) assembleSegments(ctx context.Context, docs []*nlp.Document, opt
 			seg.SetBuildTime(times[i])
 			segs[i] = seg
 			if id != "" {
-				s.storeShard(id, seg)
+				s.shards.put(id, seg)
 			}
 		}
 	}
@@ -569,82 +566,6 @@ func (s *Server) recordQueryHit(e *queryEntry) {
 	s.counters.Add(CounterSavedGraphNS, int64(st.Graph))
 	s.counters.Add(CounterSavedDensifyNS, int64(st.Densify))
 	s.counters.Add(CounterSavedCanonicalizeNS, int64(st.Canonicalize))
-}
-
-// lookupQuery returns the live query entry for key, lazily expiring it
-// when the TTL has passed.
-func (s *Server) lookupQuery(key string) *queryEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, added, ok := s.queries.get(key)
-	if !ok {
-		return nil
-	}
-	if s.expired(added) {
-		s.queries.remove(key)
-		s.counters.Add(CounterQueryTTLEvictions, 1)
-		return nil
-	}
-	return v.(*queryEntry)
-}
-
-func (s *Server) storeQuery(key string, e *queryEntry) {
-	s.mu.Lock()
-	if _, evicted := s.queries.put(key, e, s.opt.Clock()); evicted {
-		s.counters.Add(CounterQueryEvictions, 1)
-	}
-	s.mu.Unlock()
-}
-
-func (s *Server) lookupShard(key string) *store.Segment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, added, ok := s.shards.get(key)
-	if !ok {
-		return nil
-	}
-	if s.expired(added) {
-		s.shards.remove(key)
-		s.counters.Add(CounterShardTTLEvictions, 1)
-		return nil
-	}
-	return v.(*store.Segment)
-}
-
-func (s *Server) storeShard(key string, seg *store.Segment) {
-	s.mu.Lock()
-	if _, evicted := s.shards.put(key, seg, s.opt.Clock()); evicted {
-		s.counters.Add(CounterShardEvictions, 1)
-	}
-	s.mu.Unlock()
-}
-
-// lookupRun / storeRun mirror the shard accessors for cached partial
-// merges (no dedicated TTL-eviction counter: runs rebuild cheaply from
-// live segments and expire under the same TTL).
-func (s *Server) lookupRun(key string) *store.Segment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, added, ok := s.runs.get(key)
-	if !ok {
-		return nil
-	}
-	if s.expired(added) {
-		s.runs.remove(key)
-		return nil
-	}
-	return v.(*store.Segment)
-}
-
-func (s *Server) storeRun(key string, seg *store.Segment) {
-	s.mu.Lock()
-	s.runs.put(key, seg, s.opt.Clock())
-	s.mu.Unlock()
-}
-
-// expired reports whether an entry stamped at added has outlived the TTL.
-func (s *Server) expired(added time.Time) bool {
-	return s.opt.TTL > 0 && s.opt.Clock().Sub(added) >= s.opt.TTL
 }
 
 // queryKey normalizes the request into the cache key. Whitespace and case

@@ -44,8 +44,8 @@ const (
 	maintainAffectedBudget = 128
 )
 
-// MaintainPatterns subscribes to the session's delta feed and rolls the
-// pattern cache forward on every published version. The returned stop
+// MaintainPatterns follows the session's Feed from its current snapshot
+// and rolls the pattern cache forward on every published version. The returned stop
 // function cancels the subscription and waits for the loop to drain.
 // If the feed closes early — session closed, or the subscriber lagged
 // past its buffer — maintenance stops and the cache degrades to
@@ -53,12 +53,12 @@ const (
 // while lagging cannot be rolled over.
 func (s *Server) MaintainPatterns(ctx context.Context, sess *qkbfly.Session) (stop func()) {
 	ctx, cancel := context.WithCancel(ctx)
-	ch := sess.WatchDeltas(ctx)
-	prev := sess.Snapshot().ContentID()
+	feed := sess.Feed(ctx, qkbfly.FeedStart{Snapshot: true, Tail: true, Drops: qkbfly.CounterDeltaWatchDrops})
+	prev := feed.Reset.ContentID()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for ev := range ch {
+		for ev := range feed.Tail {
 			s.RollPatternCache(prev, ev.Snap, ev.Delta)
 			prev = ev.Snap.ContentID()
 		}
@@ -85,7 +85,9 @@ func (s *Server) RollPatternCache(oldCID string, snap *qkbfly.Snapshot, d store.
 	if newCID == "" || newCID == oldCID {
 		return
 	}
-	entries := s.takePatterns(oldCID)
+	// Entries leave the cache either way: maintained ones re-enter under
+	// the new identity, the rest recompute on miss.
+	entries := s.patterns.takePrefix(oldCID + "\x00")
 	if len(entries) == 0 {
 		return
 	}
@@ -111,26 +113,9 @@ func (s *Server) RollPatternCache(oldCID string, snap *qkbfly.Snapshot, d store.
 			s.counters.Add(CounterPatternMaintainFallbacks, 1)
 			continue
 		}
-		s.storePattern(patternKey(newCID, e.canon), &patternEntry{pat: e.pat, canon: e.canon, rows: rows})
+		s.patterns.put(patternKey(newCID, e.canon), &patternEntry{pat: e.pat, canon: e.canon, rows: rows})
 		s.counters.Add(CounterPatternMaintained, 1)
 	}
-}
-
-// takePatterns removes and returns every cached entry for the given
-// content identity. Entries leave the cache either way: maintained ones
-// re-enter under the new identity, the rest recompute on miss.
-func (s *Server) takePatterns(cid string) []*patternEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := s.patterns.keysWithPrefix(cid + "\x00")
-	entries := make([]*patternEntry, 0, len(keys))
-	for _, k := range keys {
-		if v, _, ok := s.patterns.get(k); ok {
-			entries = append(entries, v.(*patternEntry))
-			s.patterns.remove(k)
-		}
-	}
-	return entries
 }
 
 // rollRows computes the entry's answer set on the new tree from its old

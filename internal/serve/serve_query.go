@@ -30,8 +30,8 @@ type patternEntry struct {
 }
 
 // patternKey keys the result cache: content identity first, so one
-// version's entries form a contiguous key-prefix group that maintenance
-// (and nothing else) enumerates with keysWithPrefix.
+// version's entries form a key-prefix group that maintenance (and
+// nothing else) collects with takePrefix.
 func patternKey(cid, canonical string) string { return cid + "\x00" + canonical }
 
 // QueryPattern evaluates p against the snapshot, serving from the
@@ -59,13 +59,13 @@ func (s *Server) QueryPattern(ctx context.Context, snap *qkbfly.Snapshot, p *que
 	}
 	canon := p.Canonical()
 	key := patternKey(cid, canon)
-	if e, ok := s.lookupPattern(key); ok {
+	if e, ok := s.patterns.get(key); ok {
 		s.counters.Add(CounterPatternHits, 1)
 		return e.rows, true, nil
 	}
 	fr, joined, err := s.pflight.do(ctx, key, func() *flightResult[[]query.Row] {
 		// Double-check under the flight, like KB() does.
-		if e, ok := s.lookupPattern(key); ok {
+		if e, ok := s.patterns.get(key); ok {
 			s.counters.Add(CounterPatternHits, 1)
 			return &flightResult[[]query.Row]{res: e.rows, hit: true}
 		}
@@ -75,7 +75,7 @@ func (s *Server) QueryPattern(ctx context.Context, snap *qkbfly.Snapshot, p *que
 			return &flightResult[[]query.Row]{err: err}
 		}
 		rows := it.Collect()
-		s.storePattern(key, &patternEntry{pat: p, canon: canon, rows: rows})
+		s.patterns.put(key, &patternEntry{pat: p, canon: canon, rows: rows})
 		return &flightResult[[]query.Row]{res: rows}
 	})
 	if err != nil {
@@ -85,27 +85,4 @@ func (s *Server) QueryPattern(ctx context.Context, snap *qkbfly.Snapshot, p *que
 		s.counters.Add(CounterPatternJoins, 1)
 	}
 	return fr.res, joined || fr.hit, fr.err
-}
-
-// lookupPattern returns the cached entry for key, lazily expiring it
-// under the server TTL. The nil row set is a valid cached value, so
-// presence is reported separately.
-func (s *Server) lookupPattern(key string) (*patternEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, added, ok := s.patterns.get(key)
-	if !ok {
-		return nil, false
-	}
-	if s.expired(added) {
-		s.patterns.remove(key)
-		return nil, false
-	}
-	return v.(*patternEntry), true
-}
-
-func (s *Server) storePattern(key string, e *patternEntry) {
-	s.mu.Lock()
-	s.patterns.put(key, e, s.opt.Clock())
-	s.mu.Unlock()
 }

@@ -170,16 +170,6 @@ func (s *System) BuildKB(docs []*nlp.Document) (*store.KB, *BuildStats) {
 	return kb, bs
 }
 
-// BuildKBWithCorefWindow is BuildKB with a custom pronoun co-reference
-// window, kept for the ablation study.
-//
-// Deprecated: pass WithCorefWindow to BuildKBContext (or set it in
-// SessionOptions.BuildOptions for incremental ingestion).
-func (s *System) BuildKBWithCorefWindow(docs []*nlp.Document, window int) (*store.KB, *BuildStats) {
-	kb, bs, _ := s.BuildKBContext(context.Background(), docs, WithCorefWindow(window))
-	return kb, bs
-}
-
 // engineConfig resolves the System's Mode/Algorithm configuration into
 // the engine's plain execution config.
 func (s *System) engineConfig() engine.Config {

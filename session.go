@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,8 +20,9 @@ import (
 var ErrSessionClosed = errors.New("qkbfly: session closed")
 
 // Counter names a session records into SessionOptions.Counters — the
-// previously silent lagging-consumer drops of each watcher flavor, and
-// the inline compactions the deferred-compaction backstop forced.
+// lagging-consumer drops, by what the dropped subscription was
+// projecting (Watch facts, WatchPattern rows, or bare deltas), and the
+// inline compactions the deferred-compaction backstop forced.
 const (
 	CounterWatchDrops        = "session_watch_drops"
 	CounterPatternWatchDrops = "session_pattern_watch_drops"
@@ -82,9 +84,9 @@ type SessionOptions struct {
 	// insertion paths — not the whole window — so per-ingest cost grows
 	// sub-linearly in the window size. 0 means unlimited.
 	MaxDocuments int
-	// Tau is the confidence threshold for Watch delivery: watchers receive
-	// facts with Confidence >= Tau. System.OpenSession defaults it to the
-	// system's configured τ; 0 delivers everything.
+	// Tau is the confidence threshold for Watch delivery: subscribers
+	// receive facts with Confidence >= Tau. System.OpenSession defaults it
+	// to the system's configured τ; 0 delivers everything.
 	Tau float64
 	// HistoryLimit caps how many versions of fact diffs are kept for
 	// FactsSince; 0 means 1024. A negative limit disables history
@@ -92,9 +94,11 @@ type SessionOptions struct {
 	// Readers older than the horizon are told to restart from a full
 	// snapshot.
 	HistoryLimit int
-	// WatchBuffer is each watcher channel's capacity; <= 0 means 256. A
-	// watcher that falls more than a full buffer behind is dropped (its
-	// channel closes), like a lagging changefeed consumer.
+	// WatchBuffer is how many published versions a subscriber (Watch,
+	// WatchPattern, WatchDeltas, a Feed tail) may fall behind, whatever
+	// each version projects to; <= 0 means 256. One that falls further
+	// behind is dropped (its channel closes), like a lagging changefeed
+	// consumer, and resumes from the last version it processed.
 	WatchBuffer int
 	// Persist, when non-nil, receives every published version for durable
 	// writeback (see Persistence). Restart with Restore over the
@@ -114,8 +118,8 @@ type SessionOptions struct {
 	// so read fan-in stays bounded even with no Maintainer attached.
 	// <= 0 means 64. Ignored unless DeferCompaction is set.
 	CompactionDebt int
-	// Counters, when non-nil, receives the session_* accounting: watcher
-	// fan-out drops (plain, pattern and delta subscribers shed for
+	// Counters, when non-nil, receives the session_* accounting:
+	// subscriber drops (plain, pattern and delta subscriptions shed for
 	// lagging a full buffer behind) and compaction backstops. Pass the
 	// serving layer's CounterSet to surface them through /stats.
 	Counters *stats.CounterSet
@@ -139,10 +143,15 @@ type FactEvent struct {
 type Snapshot struct {
 	tree    *store.Tree
 	version uint64
+	stamp   *shaStamp // the version's fingerprint SHA, shared with its history entry
 	kbOnce  sync.Once
 	kb      *store.KB
 	fpOnce  sync.Once
 	fp      string
+}
+
+func newSnapshot(tree *store.Tree, version uint64) *Snapshot {
+	return &Snapshot{tree: tree, version: version, stamp: new(shaStamp)}
 }
 
 // KB returns the snapshot's knowledge base (read-only by convention; it
@@ -167,24 +176,24 @@ func (s *Snapshot) Fingerprint() string {
 	return s.fp
 }
 
-// versionDelta records the key-based diff a version introduced, for
-// FactsSince replay, along with the version's merge tree so a
-// replication stream can stamp the record with the version's KB
-// fingerprint on demand. The tree shares structure with its neighbors
-// (persistent merge tree), so retaining it costs pointer work, not
-// copies; the fingerprint SHA is computed at most once per version
-// (fps cache) and never pins a materialized KB.
+// versionDelta is one retained history entry: the key-based diff a
+// version introduced, plus the version's merge tree and fingerprint
+// stamp so a replay can hand out the same DeltaEvent the live tail did.
+// The tree shares structure with its neighbors (persistent merge tree),
+// so retaining it costs pointer work, not copies. The entry deliberately
+// holds no *Snapshot: a snapshot caches its materialized KB, and history
+// must not pin one per retained version.
 type versionDelta struct {
 	version uint64
 	delta   store.Delta
 	tree    *store.Tree
+	stamp   *shaStamp
 }
 
-// watcher is one Watch subscription.
-type watcher struct {
-	ch     chan FactEvent
-	min    float64     // per-subscription confidence threshold
-	cancel func() bool // detaches the context watchdog, if any
+// event rebuilds the version's DeltaEvent around a fresh snapshot handle.
+func (d versionDelta) event() DeltaEvent {
+	return DeltaEvent{Version: d.version, Delta: d.delta,
+		Snap: &Snapshot{tree: d.tree, version: d.version, stamp: d.stamp}}
 }
 
 // Session is a long-lived handle for incremental on-the-fly KB
@@ -200,7 +209,7 @@ type watcher struct {
 // (store.Tree): consecutive versions share all unchanged partial merges,
 // an ingest or eviction touches only O(log W) runs, and a sliding-window
 // ingest (increment + eviction) publishes exactly one version whose
-// watcher delta is the key-based diff between the two trees.
+// delta is the key-based diff between the two trees.
 //
 // The invariant tying it to the batch API: after any sequence of ingests
 // and evictions, the session KB is fingerprint-identical to one
@@ -212,22 +221,16 @@ type Session struct {
 	segBuilder SegmentBuilder // non-nil when builder implements it
 	opt        SessionOptions
 
-	mu        sync.Mutex
-	docIDs    []string                  // arrival order (session keys)
-	segs      map[string]*store.Segment // session key -> sealed segment
-	seqs      map[string]uint64         // session key -> tree arrival sequence
-	nextSeq   uint64
-	cur       *Snapshot         // current version; immutable once set
-	history   []versionDelta    // per-version diffs, newest last
-	fps       map[uint64]string // version -> hex sha256 of the KB fingerprint, lazily filled
-	watchers  map[int]*watcher
-	nextW     int
-	pwatchers map[int]*patternWatcher // standing filtered watches (session_query.go)
-	nextPW    int
-	dwatchers map[int]*deltaWatcher // full-delta subscriptions (replication streams)
-	nextDW    int
-	anonSeq   int // synthetic keys for documents without IDs
-	closed    bool
+	mu      sync.Mutex
+	docIDs  []string                  // arrival order (session keys)
+	segs    map[string]*store.Segment // session key -> sealed segment
+	seqs    map[string]uint64         // session key -> tree arrival sequence
+	nextSeq uint64
+	cur     *Snapshot           // current version; immutable once set
+	history []versionDelta      // consecutive per-version diffs, newest last
+	subs    *fanout[DeltaEvent] // every subscriber, one event per published version (session_feed.go)
+	anonSeq int                 // synthetic keys for documents without IDs
+	closed  bool
 
 	// Deferred-compaction state: loose counts the leaf runs appended
 	// since the tree was last fully compacted (inline backstop or adopted
@@ -261,15 +264,12 @@ func Open(b ShardBuilder, opts SessionOptions) *Session {
 		merge = m.MergeSegments
 	}
 	s := &Session{
-		builder:   b,
-		opt:       opts,
-		segs:      make(map[string]*store.Segment),
-		seqs:      make(map[string]uint64),
-		cur:       &Snapshot{tree: store.NewTree(merge), version: 0},
-		fps:       make(map[uint64]string),
-		watchers:  make(map[int]*watcher),
-		pwatchers: make(map[int]*patternWatcher),
-		dwatchers: make(map[int]*deltaWatcher),
+		builder: b,
+		opt:     opts,
+		segs:    make(map[string]*store.Segment),
+		seqs:    make(map[string]uint64),
+		cur:     newSnapshot(store.NewTree(merge), 0),
+		subs:    newFanout[DeltaEvent](opts.WatchBuffer),
 	}
 	if sb, ok := b.(SegmentBuilder); ok {
 		s.segBuilder = sb
@@ -353,7 +353,7 @@ func Restore(b ShardBuilder, opts SessionOptions, st SessionState) (*Session, er
 	if m, ok := b.(SegmentMerger); ok {
 		merge = m.MergeSegments
 	}
-	s.cur = &Snapshot{tree: tree.WithMergeFunc(merge), version: st.Version}
+	s.cur = newSnapshot(tree.WithMergeFunc(merge), st.Version)
 	return s, nil
 }
 
@@ -404,10 +404,10 @@ func (s *Session) buildSegments(ctx context.Context, docs []*nlp.Document) ([]*s
 // pushed into the merge tree in arrival order. When MaxDocuments is set
 // and the batch overflows the window, the oldest documents are evicted
 // in the same step: survivors + increment publish as exactly one
-// version, and watchers receive the increment's facts (plus any in-place
-// winner changes) as that version's diff. Documents are annotated in
-// place, as in BuildKBContext; pass doc.Clone() to keep originals
-// pristine.
+// version, and subscribers receive the increment's facts (plus any
+// in-place winner changes) as that version's diff. Documents are
+// annotated in place, as in BuildKBContext; pass doc.Clone() to keep
+// originals pristine.
 //
 // The returned Snapshot is the post-fold version and the BuildStats
 // account the engine work of this increment, with the tree fold time in
@@ -534,7 +534,7 @@ func (s *Session) Ingest(ctx context.Context, docs []*nlp.Document) (*Snapshot, 
 		}
 		bs.StageElapsed.Merge = time.Since(mergeStart)
 		// The version's diff is only computed when someone can observe it,
-		// so sessions with history disabled and no watchers skip it.
+		// so sessions with history disabled and no subscribers skip it.
 		var delta store.Delta
 		if s.needsDeltaLocked() {
 			delta = store.DiffTrees(oldTree, tree, changed)
@@ -574,18 +574,22 @@ func (s *Session) dropLocked(tree *store.Tree, victims []string, changed []*stor
 }
 
 // needsDeltaLocked reports whether a published version's diff has any
-// observer: retained history, plain/pattern watchers, or a delta
-// subscription (replication stream). Callers hold s.mu.
+// observer: retained history or a subscriber. Callers hold s.mu.
 func (s *Session) needsDeltaLocked() bool {
-	return s.opt.HistoryLimit > 0 || len(s.watchers) > 0 || len(s.pwatchers) > 0 || len(s.dwatchers) > 0
+	return s.opt.HistoryLimit > 0 || s.subs.len() > 0
 }
 
-// advanceLocked publishes tree as the next version, recording its diff,
-// handing the version to the persistence sink (if any), and fanning the
-// added and in-place-changed facts out to watchers. Callers hold s.mu.
+// advanceLocked publishes tree as the next version: it hands the
+// version to the persistence sink and the maintenance hook (if any),
+// retains its diff, and offers one DeltaEvent to every subscriber — all
+// a subscriber's filtering and pattern evaluation happens on its own
+// side of the channel, so the work under the lock does not grow with
+// what subscribers project. Every version is fanned out, including
+// eviction-only ones whose delta carries removals alone. Callers hold
+// s.mu.
 func (s *Session) advanceLocked(tree *store.Tree, delta store.Delta, ops *pubOps) {
 	v := s.cur.version + 1
-	s.cur = &Snapshot{tree: tree, version: v}
+	s.cur = newSnapshot(tree, v)
 	if s.opt.Persist != nil {
 		s.opt.Persist.Publish(v, s.nextSeq, ops.addKeys, ops.addSeqs, ops.addSegs, ops.delSeqs, tree)
 	}
@@ -593,66 +597,19 @@ func (s *Session) advanceLocked(tree *store.Tree, delta store.Delta, ops *pubOps
 		s.maint.published(v, s.cur, s.loose)
 	}
 	if s.opt.HistoryLimit > 0 {
-		s.history = append(s.history, versionDelta{version: v, delta: delta, tree: tree})
+		s.history = append(s.history, versionDelta{version: v, delta: delta, tree: tree, stamp: s.cur.stamp})
 		if over := len(s.history) - s.opt.HistoryLimit; over > 0 {
 			s.history = append([]versionDelta(nil), s.history[over:]...)
 		}
-		// Fingerprint SHAs are only retained for versions still inside the
-		// history window (plus the current version, re-cached on demand).
-		if len(s.fps) > 0 {
-			horizon := s.history[0].version
-			for ver := range s.fps {
-				if ver < horizon {
-					delete(s.fps, ver)
-				}
-			}
-		}
 	}
-	// Delta subscribers (replication streams) see every published version
-	// — including eviction-only versions, whose delta carries removals the
-	// added/upgraded fan-out below would skip — so a follower mirrors the
-	// full version chain, not just its insertions.
-	if len(s.dwatchers) > 0 {
-		s.notifyDeltasLocked(v, delta)
-	}
-	if len(delta.Added) == 0 && len(delta.Upgraded) == 0 {
-		return
-	}
-	if len(s.pwatchers) > 0 {
-		// Standing patterns see the increment before plain watchers can
-		// shed them: evaluation is delta-seeded (cost scales with the
-		// increment) and runs under the lock like the fan-out itself.
-		s.notifyPatternsLocked(v, tree, delta)
-	}
-	if len(s.watchers) == 0 {
-		return
-	}
-watchers:
-	for id, w := range s.watchers {
-		for _, facts := range [2][]store.Fact{delta.Added, delta.Upgraded} {
-			for _, f := range facts {
-				if f.Confidence < w.min {
-					continue
-				}
-				select {
-				case w.ch <- FactEvent{Version: v, Fact: f}:
-				default:
-					// The watcher is a full buffer behind: drop it rather than
-					// blocking ingestion (lagging-consumer semantics).
-					s.count(CounterWatchDrops, 1)
-					s.removeWatcherLocked(id)
-					continue watchers
-				}
-			}
-		}
-	}
+	s.subs.send(DeltaEvent{Version: v, Delta: delta, Snap: s.cur})
 }
 
 // Evict removes documents from the session (by document ID) and
 // publishes the surviving window as a fresh version. No re-merge
 // happens: the merge tree splits the affected runs back into their
 // retained partial merges (O(log W) pointer work). Unknown IDs are
-// ignored; the removed count is returned. Watchers receive no events for
+// ignored; the removed count is returned. Watch delivers no events for
 // removed facts, but a surviving fact whose winning confidence or
 // provenance changes because its better evidence was evicted is
 // delivered at its new state (it appears in the version's diff as
@@ -729,36 +686,17 @@ func (s *Session) Docs() []string {
 // order: each version contributes its added facts followed by its
 // in-place-changed facts (at their new state), unfiltered — callers
 // apply their own confidence threshold. cur is the session version the
-// replay is complete up to: combined with a Watch subscription attached
-// beforehand, skipping live events with Version <= cur resumes the
-// stream without gaps or duplicates. ok is false when v predates the
-// retained history horizon — the caller should restart from a full
-// Snapshot instead.
+// replay is complete up to. ok is false when v predates the retained
+// history horizon — the caller should restart from a full Snapshot
+// instead. To replay and then keep following without a gap, use Feed.
 func (s *Session) FactsSince(v uint64) (events []FactEvent, cur uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v >= s.cur.version {
-		return nil, s.cur.version, true
+	after, cur, ok := s.sinceLocked(v)
+	for _, d := range after {
+		events = appendFacts(events, d.version, &d.delta, math.Inf(-1))
 	}
-	horizon := s.cur.version
-	if len(s.history) > 0 {
-		horizon = s.history[0].version - 1
-	}
-	if v < horizon {
-		return nil, s.cur.version, false
-	}
-	for _, d := range s.history {
-		if d.version <= v {
-			continue
-		}
-		for _, f := range d.delta.Added {
-			events = append(events, FactEvent{Version: d.version, Fact: f})
-		}
-		for _, f := range d.delta.Upgraded {
-			events = append(events, FactEvent{Version: d.version, Fact: f})
-		}
-	}
-	return events, s.cur.version, true
+	return events, cur, ok
 }
 
 // DeltaSince returns the full key-based diffs (including removals and
@@ -768,69 +706,48 @@ func (s *Session) FactsSince(v uint64) (events []FactEvent, cur uint64, ok bool)
 func (s *Session) DeltaSince(v uint64) (deltas []store.Delta, cur uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v >= s.cur.version {
-		return nil, s.cur.version, true
+	after, cur, ok := s.sinceLocked(v)
+	for _, d := range after {
+		deltas = append(deltas, d.delta)
 	}
-	horizon := s.cur.version
-	if len(s.history) > 0 {
-		horizon = s.history[0].version - 1
-	}
-	if v < horizon {
-		return nil, s.cur.version, false
-	}
-	for _, d := range s.history {
-		if d.version > v {
-			deltas = append(deltas, d.delta)
+	return deltas, cur, ok
+}
+
+// appendFacts is the plain-fact projection of one version: its added
+// facts, then its in-place-changed facts at their new state, keeping
+// those with Confidence >= minConf.
+func appendFacts(events []FactEvent, v uint64, d *store.Delta, minConf float64) []FactEvent {
+	for _, facts := range [2][]store.Fact{d.Added, d.Upgraded} {
+		for _, f := range facts {
+			if f.Confidence < minConf {
+				continue
+			}
+			events = append(events, FactEvent{Version: v, Fact: f})
 		}
 	}
-	return deltas, s.cur.version, true
+	return events
+}
+
+// Facts projects the version onto the facts it added or changed in
+// place (at their new state) with Confidence >= minConf — what Watch
+// delivers for it, and what /facts streams.
+func (ev DeltaEvent) Facts(minConf float64) []FactEvent {
+	return appendFacts(nil, ev.Version, &ev.Delta, minConf)
 }
 
 // Watch subscribes to facts with Confidence >= the session τ as they
-// land, stamped with the version that introduced them. The channel closes
-// when ctx is cancelled, the session closes, or the subscriber lags a
-// full buffer behind ingestion. Events replay nothing: use FactsSince to
-// catch up, then Watch for the live tail. An ingest (or eviction) that
-// changes an existing fact's winning record in place delivers that fact
-// again at its new state.
+// land, stamped with the version that introduced them: the Facts
+// projection of a delta subscription, evaluated on the subscriber's
+// side. The channel closes when ctx is cancelled, the session closes, or
+// the subscriber lags WatchBuffer versions behind ingestion. Events
+// replay nothing: use FactsSince to catch up (or Feed to catch up and
+// follow without a gap). An ingest (or eviction) that changes an
+// existing fact's winning record in place delivers that fact again at
+// its new state.
 func (s *Session) Watch(ctx context.Context) <-chan FactEvent {
-	return s.WatchMin(ctx, s.opt.Tau)
-}
-
-// WatchMin is Watch with a per-subscription confidence threshold
-// overriding the session τ (<= 0 delivers everything) — the HTTP /facts
-// stream uses it so the live tail honors the request's own filter.
-func (s *Session) WatchMin(ctx context.Context, minConf float64) <-chan FactEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan FactEvent, s.opt.WatchBuffer)
-	if s.closed {
-		close(ch)
-		return ch
-	}
-	id := s.nextW
-	s.nextW++
-	w := &watcher{ch: ch, min: minConf}
-	s.watchers[id] = w
-	w.cancel = context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.removeWatcherLocked(id)
+	return project(ctx, s, CounterWatchDrops, func(ev DeltaEvent) []FactEvent {
+		return ev.Facts(s.opt.Tau)
 	})
-	return ch
-}
-
-// removeWatcherLocked closes and forgets one watcher, detaching its
-// context watchdog so a lag-dropped subscriber does not pin the watcher
-// (and its buffer) to a long-lived context. Callers hold s.mu.
-func (s *Session) removeWatcherLocked(id int) {
-	if w, ok := s.watchers[id]; ok {
-		delete(s.watchers, id)
-		if w.cancel != nil {
-			w.cancel()
-		}
-		close(w.ch)
-	}
 }
 
 // count adds to a session counter, when accounting is attached.
@@ -868,7 +785,7 @@ func (s *Session) isClosed() bool {
 // adoptCompacted publishes a background-compacted tree back into the
 // session. If snap is still the current version, the current snapshot is
 // swapped for one holding the compacted tree at the same version — no
-// new version, no delta, no watcher traffic, and persistence is
+// new version, no delta, no subscriber traffic, and persistence is
 // untouched (the durable log stores leaves, not layouts). The swap is
 // content-neutral: callers (Maintainer) verify fingerprint identity
 // against snap before offering the tree. Returns false when snap has
@@ -884,14 +801,14 @@ func (s *Session) adoptCompacted(snap *Snapshot, compacted *store.Tree) bool {
 	if compacted.Len() != snap.tree.Len() {
 		return false // defense in depth: never adopt a tree of different size
 	}
-	s.cur = &Snapshot{tree: compacted, version: snap.version}
+	s.cur = &Snapshot{tree: compacted, version: snap.version, stamp: snap.stamp} // same content, same stamp
 	s.loose = 0
 	return true
 }
 
-// Close ends the session: watchers' channels close, and further Ingest
-// and Evict calls return ErrSessionClosed. Snapshots (including the final
-// one, still available via Snapshot) remain valid.
+// Close ends the session: subscribers' channels close, and further
+// Ingest and Evict calls return ErrSessionClosed. Snapshots (including
+// the final one, still available via Snapshot) remain valid.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -899,14 +816,6 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	for id := range s.watchers {
-		s.removeWatcherLocked(id)
-	}
-	for id := range s.pwatchers {
-		s.removePatternWatcherLocked(id)
-	}
-	for id := range s.dwatchers {
-		s.removeDeltaWatcherLocked(id)
-	}
+	s.subs.close()
 	return nil
 }

@@ -35,26 +35,26 @@ type AnalyticsOptions struct {
 // a version costs O(|delta|); the /analytics endpoint therefore answers
 // from state that is already current, independent of corpus size.
 //
-// The tracker subscribes via WatchDeltas before seeding from the current
-// snapshot, so no version falls in a gap. If its subscription is ever
-// dropped for lagging (or a fold detects divergence), it resynchronizes
-// by full recompute over the then-current snapshot and resumes folding —
-// correctness never depends on the stream staying healthy, only freshness
-// does. Growth history restarts empty after a resync (it cannot be
-// reconstructed from one version).
+// The tracker consumes the session's Feed from a snapshot: it seeds from
+// the feed's reset snapshot and folds the tail, which starts at the very
+// next version. If its subscription is ever dropped for lagging (or a
+// fold detects divergence), it resynchronizes by full recompute over a
+// fresh feed's snapshot and resumes folding — correctness never depends
+// on the stream staying healthy, only freshness does. Growth history
+// restarts empty after a resync (it cannot be reconstructed from one
+// version).
 type AnalyticsTracker struct {
 	s      *Session
 	opt    AnalyticsOptions
 	cancel context.CancelFunc
 	done   chan struct{}
 
+	subs *fanout[analytics.VersionDelta] // re-broadcast of every folded version
+
 	mu        sync.Mutex
 	st        *analytics.State
 	summary   *analytics.Summary // cached; invalidated on every fold
 	contentID string             // snapshot ContentID at st's version
-	subs      map[int]chan analytics.VersionDelta
-	nextSub   int
-	closed    bool
 }
 
 // NewAnalyticsTracker starts incremental analytics over a session. The
@@ -70,16 +70,19 @@ func NewAnalyticsTracker(s *Session, opt AnalyticsOptions) *AnalyticsTracker {
 		opt:    opt,
 		cancel: cancel,
 		done:   make(chan struct{}),
-		subs:   make(map[int]chan analytics.VersionDelta),
+		subs:   newFanout[analytics.VersionDelta](opt.WatchBuffer),
 	}
-	// Subscribe before seeding: every version published after the seed
-	// snapshot is either <= the seed (skipped) or arrives on ch — no gap.
-	ch := s.WatchDeltas(ctx)
-	snap := s.Snapshot()
-	t.st = analytics.FromKB(snap.KB(), snap.Version(), opt.GrowthLimit)
-	t.contentID = cacheKeyOf(snap)
-	go t.run(ctx, ch)
+	f := t.feed(ctx)
+	t.st = analytics.FromKB(f.Reset.KB(), f.Cur, opt.GrowthLimit)
+	t.contentID = cacheKeyOf(f.Reset)
+	go t.run(ctx, f.Tail)
 	return t
+}
+
+// feed opens the session feed the tracker folds: the current snapshot
+// to (re)seed from, then every later version.
+func (t *AnalyticsTracker) feed(ctx context.Context) Feed {
+	return t.s.Feed(ctx, FeedStart{Snapshot: true, Tail: true, Drops: CounterDeltaWatchDrops})
 }
 
 // cacheKeyOf derives the analytics cache key for one snapshot: its
@@ -99,41 +102,40 @@ func (t *AnalyticsTracker) count(name string, d int64) {
 	}
 }
 
-// run is the tracker's fold loop: drain the delta stream, and on a lag
-// drop resubscribe and resync. Exits when the context is cancelled or
-// the session closes.
-func (t *AnalyticsTracker) run(ctx context.Context, ch <-chan DeltaEvent) {
+// run is the tracker's fold loop: drain the feed's tail, and on a lag
+// drop open a new feed and resync from its snapshot. Exits when the
+// context is cancelled or the session closes.
+func (t *AnalyticsTracker) run(ctx context.Context, tail <-chan DeltaEvent) {
 	defer close(t.done)
 	for {
-		for ev := range ch {
+		for ev := range tail {
 			t.fold(&ev)
 		}
-		// Channel closed: session shutdown, tracker Close, or a lag drop.
+		// Tail closed: session shutdown, tracker Close, or a lag drop.
 		if ctx.Err() != nil || t.s.isClosed() {
 			return
 		}
 		t.count(CounterAnalyticsDrops, 1)
-		ch = t.s.WatchDeltas(ctx)
+		f := t.feed(ctx)
 		t.count(CounterAnalyticsResyncs, 1)
-		t.resync(t.s.Snapshot())
+		t.resync(f.Reset)
+		tail = f.Tail
 	}
 }
 
-// fold applies one published version. Stale events are skipped (they
-// precede a resync); gaps and divergence trigger a resync from the
-// event's own snapshot.
+// fold applies one published version. The feed delivers consecutive
+// versions, so anything else — or a delta that does not apply — is
+// divergence, repaired by a resync from the event's own snapshot.
 func (t *AnalyticsTracker) fold(ev *DeltaEvent) {
 	t.mu.Lock()
-	if ev.Version <= t.st.Version() {
-		t.mu.Unlock()
-		return
-	}
 	if ev.Version == t.st.Version()+1 {
 		vd, err := t.st.Apply(ev.Version, &ev.Delta)
 		if err == nil {
 			t.summary = nil
 			t.contentID = cacheKeyOf(ev.Snap)
-			t.notifyLocked(vd)
+			// Re-broadcast under t.mu, so a subscriber that attached before
+			// reading Summary sees every version the summary lacks.
+			t.subs.send(vd)
 			t.mu.Unlock()
 			t.count(CounterAnalyticsApplied, 1)
 			return
@@ -157,19 +159,6 @@ func (t *AnalyticsTracker) resync(snap *Snapshot) {
 		t.contentID = id
 	}
 	t.mu.Unlock()
-}
-
-// notifyLocked fans one analytic delta out to subscribers, dropping any
-// that lag a full buffer behind. Callers hold t.mu.
-func (t *AnalyticsTracker) notifyLocked(vd analytics.VersionDelta) {
-	for id, ch := range t.subs {
-		select {
-		case ch <- vd:
-		default:
-			delete(t.subs, id)
-			close(ch)
-		}
-	}
 }
 
 // Version returns the session version the tracker has folded up to.
@@ -204,45 +193,17 @@ func (t *AnalyticsTracker) Growth() []analytics.VersionDelta {
 // WatchAnalytics subscribes to per-version analytic deltas as they fold
 // — the live tail of /analytics?follow=. The channel closes when ctx is
 // cancelled, the tracker closes, or the subscriber lags a full buffer
-// behind.
+// behind. To pair it with a Summary without a gap, subscribe first and
+// skip deltas at or below the summary's version.
 func (t *AnalyticsTracker) WatchAnalytics(ctx context.Context) <-chan analytics.VersionDelta {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ch := make(chan analytics.VersionDelta, t.opt.WatchBuffer)
-	if t.closed {
-		close(ch)
-		return ch
-	}
-	id := t.nextSub
-	t.nextSub++
-	t.subs[id] = ch
-	context.AfterFunc(ctx, func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if c, ok := t.subs[id]; ok {
-			delete(t.subs, id)
-			close(c)
-		}
-	})
-	return ch
+	return t.subs.subscribe(ctx, nil)
 }
 
 // Close stops the tracker: the fold loop exits, subscriber channels
 // close, and the final state remains readable (Summary/Growth/Version
 // keep answering). Idempotent.
 func (t *AnalyticsTracker) Close() {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		<-t.done
-		return
-	}
-	t.closed = true
-	for id, ch := range t.subs {
-		delete(t.subs, id)
-		close(ch)
-	}
-	t.mu.Unlock()
+	t.subs.close()
 	t.cancel()
 	<-t.done
 }

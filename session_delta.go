@@ -1,23 +1,25 @@
 package qkbfly
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"sync"
 
 	"qkbfly/internal/kb/store"
 )
 
-// This file is the session's replication surface: full-delta
-// subscriptions (every published version, including eviction-only ones),
-// fingerprint-stamped delta replay, and the per-version fingerprint
-// SHAs followers verify each applied version against. internal/serve
-// exposes it as the /deltas NDJSON stream; internal/replica consumes it.
+// This file is the session's replication surface: the per-version
+// DeltaEvent every subscriber receives (session_feed.go is how it gets
+// to them), fingerprint-stamped delta replay, and the per-version
+// fingerprint SHAs followers verify each applied version against.
+// internal/serve exposes it as the /deltas NDJSON stream;
+// internal/replica consumes it.
 
-// DeltaEvent is one published version delivered to a WatchDeltas
-// subscriber: the version's full key-based diff plus the snapshot it
-// produced, so the consumer can stamp (and verify) the version's KB
-// fingerprint without racing later ingests.
+// DeltaEvent is one published version as subscribers see it, live
+// (WatchDeltas, a Feed tail) or replayed (Feed.Replay): the version's
+// full key-based diff plus the snapshot it produced, so the consumer
+// can evaluate a pattern against the version's tree, or stamp and
+// verify its KB fingerprint, without racing later ingests.
 type DeltaEvent struct {
 	Version uint64
 	Delta   store.Delta
@@ -35,148 +37,46 @@ type DeltaRecord struct {
 	Delta          store.Delta
 }
 
-// deltaWatcher is one WatchDeltas subscription.
-type deltaWatcher struct {
-	ch     chan DeltaEvent
-	cancel func() bool
-}
-
-// WatchDeltas subscribes to every published version's full delta —
-// additions, in-place upgrades, removals, and entity changes — in
-// version order, with no confidence filtering. Unlike Watch, versions
-// whose delta is empty of additions are still delivered (an eviction
-// changes content through removals alone), so a subscriber mirrors the
-// leader's complete version chain. The channel closes when ctx is
-// cancelled, the session closes, or the subscriber lags a full buffer
-// behind ingestion — a dropped replication stream reconnects and
-// resumes from its last verified version via DeltaRecordsSince.
-func (s *Session) WatchDeltas(ctx context.Context) <-chan DeltaEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan DeltaEvent, s.opt.WatchBuffer)
-	if s.closed {
-		close(ch)
-		return ch
-	}
-	id := s.nextDW
-	s.nextDW++
-	w := &deltaWatcher{ch: ch}
-	s.dwatchers[id] = w
-	w.cancel = context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.removeDeltaWatcherLocked(id)
-	})
-	return ch
-}
-
-// notifyDeltasLocked fans one published version out to every delta
-// subscriber. Callers hold s.mu. The event carries the just-published
-// snapshot so consumers compute the version's fingerprint off the lock.
-func (s *Session) notifyDeltasLocked(v uint64, delta store.Delta) {
-	for id, w := range s.dwatchers {
-		select {
-		case w.ch <- DeltaEvent{Version: v, Delta: delta, Snap: s.cur}:
-		default:
-			// Same lagging-consumer contract as plain watchers: a stalled
-			// replication stream is dropped rather than blocking ingestion;
-			// it resumes by reconnecting from its last verified version.
-			s.count(CounterDeltaWatchDrops, 1)
-			s.removeDeltaWatcherLocked(id)
-		}
-	}
-}
-
-// removeDeltaWatcherLocked closes and forgets one delta watcher,
-// detaching its context watchdog. Callers hold s.mu.
-func (s *Session) removeDeltaWatcherLocked(id int) {
-	if w, ok := s.dwatchers[id]; ok {
-		delete(s.dwatchers, id)
-		if w.cancel != nil {
-			w.cancel()
-		}
-		close(w.ch)
-	}
-}
-
 // DeltaRecordsSince returns the fingerprint-stamped deltas of the
 // versions after v, oldest first, under the same horizon contract as
 // DeltaSince: ok is false when v predates the retained history horizon
-// and the consumer must re-baseline from a full snapshot. Each record's
-// stamp is the hex SHA-256 of that version's KB fingerprint, computed
-// lazily from the version's retained merge tree and cached, so replay
-// costs one materialization per version ever — not per subscriber.
+// and the consumer must re-baseline from a full snapshot. Stamps are
+// computed outside the session lock, once per version ever (see
+// FingerprintSHA) — not per call or per subscriber.
 func (s *Session) DeltaRecordsSince(v uint64) (recs []DeltaRecord, cur uint64, ok bool) {
 	s.mu.Lock()
-	if v >= s.cur.version {
-		cur = s.cur.version
-		s.mu.Unlock()
-		return nil, cur, true
-	}
-	horizon := s.cur.version
-	if len(s.history) > 0 {
-		horizon = s.history[0].version - 1
-	}
-	if v < horizon {
-		cur = s.cur.version
-		s.mu.Unlock()
-		return nil, cur, false
-	}
-	type pending struct {
-		idx  int
-		tree *store.Tree
-	}
-	var missing []pending
-	for _, d := range s.history {
-		if d.version <= v {
-			continue
-		}
-		rec := DeltaRecord{Version: d.version, FingerprintSHA: s.fps[d.version], Delta: d.delta}
-		if rec.FingerprintSHA == "" {
-			missing = append(missing, pending{idx: len(recs), tree: d.tree})
-		}
-		recs = append(recs, rec)
-	}
-	cur = s.cur.version
+	after, cur, ok := s.sinceLocked(v)
 	s.mu.Unlock()
-
-	// Fingerprints materialize outside the lock (a version's tree is
-	// immutable), then cache for every later replay of the same version.
-	if len(missing) > 0 {
-		for _, m := range missing {
-			recs[m.idx].FingerprintSHA = fingerprintSHAOf(m.tree)
-		}
-		s.mu.Lock()
-		for _, m := range missing {
-			ver := recs[m.idx].Version
-			if len(s.history) > 0 && ver >= s.history[0].version {
-				s.fps[ver] = recs[m.idx].FingerprintSHA
-			}
-		}
-		s.mu.Unlock()
+	for _, d := range after {
+		recs = append(recs, DeltaRecord{Version: d.version, FingerprintSHA: d.stamp.of(d.tree), Delta: d.delta})
 	}
-	return recs, cur, true
+	return recs, cur, ok
 }
 
 // FingerprintSHA returns the hex SHA-256 of the snapshot's KB
-// fingerprint, cached per version in the session so every replication
-// stream of one version shares a single materialization. It accepts any
-// snapshot of this session (current or historical).
+// fingerprint. It accepts any snapshot of this session, current or
+// replayed; the digest is computed once per version and shared by every
+// handle on that version, so all replication streams of one version cost
+// a single materialization.
 func (s *Session) FingerprintSHA(snap *Snapshot) string {
-	s.mu.Lock()
-	if sha, ok := s.fps[snap.version]; ok {
-		s.mu.Unlock()
-		return sha
-	}
-	s.mu.Unlock()
-	// Deliberately materialized fresh instead of through snap.KB(): the
-	// cached digest is 64 bytes forever, while snap.KB() would pin a full
-	// materialized KB to a possibly historical snapshot.
-	sha := fingerprintSHAOf(snap.tree)
-	s.mu.Lock()
-	s.fps[snap.version] = sha
-	s.mu.Unlock()
-	return sha
+	return snap.stamp.of(snap.tree)
+}
+
+// shaStamp caches one version's fingerprint SHA. The version's snapshot
+// handles and its history entry share one, so it lives exactly as long
+// as something can still ask for that version.
+type shaStamp struct {
+	once sync.Once
+	sha  string
+}
+
+// of returns the digest of tree, which must be the stamp's version. It
+// materializes fresh instead of through Snapshot.KB(): the digest is 64
+// bytes, while a snapshot's cached KB would stay pinned to a possibly
+// historical version.
+func (c *shaStamp) of(tree *store.Tree) string {
+	c.once.Do(func() { c.sha = fingerprintSHAOf(tree) })
+	return c.sha
 }
 
 // fingerprintSHAOf digests a merge tree's materialized KB fingerprint.

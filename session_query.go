@@ -11,7 +11,8 @@ import (
 // engine (internal/query): point-in-time queries against any pinned
 // snapshot, and standing filtered watches that evaluate a pattern
 // incrementally against each published version's delta instead of
-// re-running the query.
+// re-running the query — a projection of the session's delta feed
+// (session_feed.go).
 
 // Query streams the pattern's answer rows against this snapshot's merge
 // tree — planning and execution run on the sorted segment runs
@@ -54,75 +55,29 @@ type PatternEvent struct {
 	Row     query.Row `json:"row"`
 }
 
-// patternWatcher is one WatchPattern subscription.
-type patternWatcher struct {
-	ch     chan PatternEvent
-	pat    *query.Pattern
-	cancel func() bool
-}
-
 // WatchPattern registers a standing filtered watch: from now on, every
 // published version evaluates the pattern against its delta
-// (query.EvalDelta — only clauses seeded by the version's added or
-// upgraded facts run, not the whole query) and the resulting rows are
-// delivered on the returned channel. The pattern's τ applies; its limit
-// caps rows per version. Rows replay nothing — combine with Query for
-// the current state, as /query?since= does. The channel closes when ctx
-// is cancelled, the session closes, or the subscriber lags a full
-// buffer behind, matching Watch semantics.
+// (query.EvalDelta over the version's own tree — only clauses seeded by
+// the version's added or upgraded facts run, not the whole query) and
+// the resulting rows are delivered on the returned channel. Evaluation
+// runs on the subscription's side, never under the session lock, so a
+// slow pattern delays its own subscriber, not ingestion. The pattern's
+// τ applies; its limit caps rows per version. Rows replay nothing —
+// combine with Query for the current state, as /query?since= does. The
+// channel closes when ctx is cancelled, the session closes, or the
+// subscriber lags WatchBuffer versions behind, matching Watch.
 //
 // The pattern must not be mutated after registration. A version may
 // re-deliver a row it delivered before when later evidence touches the
 // same facts (e.g. a confidence upgrade re-matches); consumers needing
 // exactly-once keyed state should dedup by Row.Key.
 func (s *Session) WatchPattern(ctx context.Context, p *query.Pattern) <-chan PatternEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan PatternEvent, s.opt.WatchBuffer)
-	if s.closed {
-		close(ch)
-		return ch
-	}
-	id := s.nextPW
-	s.nextPW++
-	w := &patternWatcher{ch: ch, pat: p}
-	s.pwatchers[id] = w
-	w.cancel = context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.removePatternWatcherLocked(id)
+	return project(ctx, s, CounterPatternWatchDrops, func(ev DeltaEvent) []PatternEvent {
+		rows := query.EvalDelta(ev.Snap.Tree(), p, ev.Delta)
+		events := make([]PatternEvent, len(rows))
+		for i, row := range rows {
+			events[i] = PatternEvent{Version: ev.Version, Row: row}
+		}
+		return events
 	})
-	return ch
-}
-
-// notifyPatternsLocked evaluates every standing pattern against the
-// just-published version's delta and fans the matches out. Callers hold
-// s.mu; the evaluation is incremental (seeded by the delta's changed
-// facts), so its cost scales with the increment, not the window.
-func (s *Session) notifyPatternsLocked(v uint64, tree *store.Tree, delta store.Delta) {
-pwatchers:
-	for id, w := range s.pwatchers {
-		for _, row := range query.EvalDelta(tree, w.pat, delta) {
-			select {
-			case w.ch <- PatternEvent{Version: v, Row: row}:
-			default:
-				// Same lagging-consumer contract as plain watchers.
-				s.count(CounterPatternWatchDrops, 1)
-				s.removePatternWatcherLocked(id)
-				continue pwatchers
-			}
-		}
-	}
-}
-
-// removePatternWatcherLocked closes and forgets one pattern watcher,
-// detaching its context watchdog. Callers hold s.mu.
-func (s *Session) removePatternWatcherLocked(id int) {
-	if w, ok := s.pwatchers[id]; ok {
-		delete(s.pwatchers, id)
-		if w.cancel != nil {
-			w.cancel()
-		}
-		close(w.ch)
-	}
 }

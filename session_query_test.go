@@ -178,7 +178,7 @@ func TestWatchPattern(t *testing.T) {
 	f := getFixture(t)
 	sys := qkbfly.New(f.res, qkbfly.DefaultConfig())
 	ctx := context.Background()
-	sess := sys.OpenSession(qkbfly.SessionOptions{Tau: -1, WatchBuffer: 1 << 14})
+	sess := sys.OpenSession(qkbfly.SessionOptions{Tau: -1})
 	docs := corpus.Docs(f.world.WikiDataset(9))
 
 	full := &query.Pattern{Clauses: []query.Clause{{
@@ -234,7 +234,7 @@ func TestWatchPatternFiltered(t *testing.T) {
 	f := getFixture(t)
 	sys := qkbfly.New(f.res, qkbfly.DefaultConfig())
 	ctx := context.Background()
-	sess := sys.OpenSession(qkbfly.SessionOptions{Tau: -1, WatchBuffer: 1 << 14})
+	sess := sys.OpenSession(qkbfly.SessionOptions{Tau: -1})
 	defer sess.Close()
 	docs := corpus.Docs(f.world.WikiDataset(8))
 	if _, _, err := sess.Ingest(ctx, docs[:4]); err != nil {
@@ -271,21 +271,19 @@ func TestWatchPatternFiltered(t *testing.T) {
 		afterKeys[k] = true
 	}
 
+	// The pattern is evaluated on the subscription's side, after Ingest
+	// returns; Close lets the published versions drain, then ends the
+	// channel.
+	sess.Close()
 	got := map[string]bool{}
-drain:
-	for {
-		select {
-		case ev := <-events:
-			if !afterKeys[ev.Row.Key()] {
-				t.Fatalf("delivered row %q is not an answer of the post-slide query", ev.Row.Key())
-			}
-			if store.RelKey(ev.Row.Facts[0].Relation) != store.RelKey(rel) {
-				t.Fatalf("delivered fact relation %q, want %q", ev.Row.Facts[0].Relation, rel)
-			}
-			got[ev.Row.Key()] = true
-		default:
-			break drain
+	for ev := range events {
+		if !afterKeys[ev.Row.Key()] {
+			t.Fatalf("delivered row %q is not an answer of the post-slide query", ev.Row.Key())
 		}
+		if store.RelKey(ev.Row.Facts[0].Relation) != store.RelKey(rel) {
+			t.Fatalf("delivered fact relation %q, want %q", ev.Row.Facts[0].Relation, rel)
+		}
+		got[ev.Row.Key()] = true
 	}
 	for k := range afterKeys {
 		if !beforeKeys[k] && !got[k] {
