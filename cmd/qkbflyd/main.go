@@ -85,8 +85,7 @@ func main() {
 		memBudget     = flag.Int64("mem-budget", 0, "resident segment-payload byte budget with -data-dir; cold segments demote to disk (0 = keep everything resident)")
 		follow        = flag.String("follow", "", "leader base URL (e.g. http://leader:8080): run as a read-only replication follower")
 		retryBudget   = flag.Int("retry-budget", 10, "with -follow, consecutive failed leader connects before /healthz reports degraded (0 = never)")
-		maintenance   = flag.Bool("maintenance", true, "run the background maintenance scheduler: ingest defers tail compaction off the publish path, a snapshot-isolated worker compacts (fingerprint-verified) and prewarms, and /analytics folds incrementally from the delta stream")
-		maintWorkers  = flag.Int("maintenance-workers", 1, "maintenance scheduler worker goroutines")
+		maintenance   = flag.Bool("maintenance", true, "run the background maintenance scheduler: ingest defers tail compaction off the publish path, a snapshot-isolated worker compacts (fingerprint-verified), and /analytics folds incrementally from the delta stream")
 	)
 	flag.Parse()
 	startTime := time.Now()
@@ -213,9 +212,10 @@ func main() {
 
 	// Background maintenance: a snapshot-isolated scheduler compacts the
 	// session's deferred runs (adopted only after a fingerprint-identity
-	// check, and only if the version was not superseded mid-job) and
-	// prewarms the run cache; the analytics tracker folds every published
-	// delta so GET /analytics answers in O(1) regardless of corpus size.
+	// check, and only if the version was not superseded mid-job); the
+	// analytics tracker folds every published delta so GET /analytics
+	// answers in O(1) regardless of corpus size. One worker: supersession
+	// leaves at most one compaction per session worth finishing.
 	var (
 		maintainer *qkbfly.Maintainer
 		tracker    *qkbfly.AnalyticsTracker
@@ -223,7 +223,7 @@ func main() {
 	)
 	if *maintenance {
 		scheduler = sched.New(sched.Options{
-			Workers:  *maintWorkers,
+			Workers:  1,
 			Counters: server.Counters(),
 		})
 		maintainer = qkbfly.NewMaintainer(session, scheduler, qkbfly.MaintainerOptions{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"qkbfly"
 	"qkbfly/internal/eval"
@@ -21,8 +20,8 @@ import (
 // against the same KB) and the ingest path never blocks on analysis.
 //
 // Jobs carry Kind "" deliberately: supersession is for maintenance work
-// whose result only matters for the LATEST version (compaction,
-// prewarming). A pinned sweep is the opposite contract — the caller asked
+// whose result only matters for the LATEST version (compaction). A
+// pinned sweep is the opposite contract — the caller asked
 // about version v specifically, so a newer version must not cancel it.
 
 // SweepPoint is one threshold of a snapshot sweep.
@@ -49,11 +48,6 @@ type SweepOptions struct {
 	// Taus are the confidence thresholds to sweep; nil means the §2.1
 	// ablation ladder {0, 0.25, 0.5, 0.75, 0.9}.
 	Taus []float64
-	// Priority for the sweep's jobs; sweeps default to 0 so maintenance
-	// work (compaction at 10) wins contended workers.
-	Priority int
-	// Budget bounds each point's wall clock; 0 means unlimited.
-	Budget time.Duration
 	// Assessor, when non-nil, scores each point's facts against ground
 	// truth (sample size and seed as in the ablation runner).
 	Assessor   *eval.Assessor
@@ -84,9 +78,6 @@ func RunSnapshotSweep(ctx context.Context, sc *sched.Scheduler, snap *qkbfly.Sna
 		i, tau := i, tau
 		wg.Add(1)
 		ok := sc.Submit(sched.Job{
-			Name:     fmt.Sprintf("sweep.tau=%.2f@v%d", tau, snap.Version()),
-			Priority: opt.Priority,
-			Budget:   opt.Budget,
 			Run: func(jctx context.Context) error {
 				defer wg.Done()
 				if err := jctx.Err(); err != nil {

@@ -27,7 +27,7 @@ func TestSchedSnapshotSweepPinnedVersion(t *testing.T) {
 	pinnedV := snap.Version()
 	pinnedFP := snap.KB().Fingerprint()
 
-	sc := sched.New(sched.Options{Workers: 2, Cooldown: 0})
+	sc := sched.New(sched.Options{Workers: 2})
 	defer sc.Close()
 
 	// Race the sweep against further ingest: the sweep must not observe

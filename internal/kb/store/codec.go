@@ -22,13 +22,10 @@
 // provenance doc IDs) are interned on decode, so reloaded segments share
 // string storage with live ones.
 //
-// Format version 2 appends the POS secondary index to the body as
-// (fact index, object ordinal) pairs in POS-key order: the keys
-// themselves rebuild deterministically from the decoded facts
-// (appendPOSKey), so no key bytes are stored and no re-sort happens on
-// decode. Version-1 blobs (no POS section) still decode — their POS
-// index rebuilds lazily on the segment's first POS access — so warm
-// restarts over pre-index stores stay compatible.
+// The body ends with the POS secondary index as (fact index, object
+// ordinal) pairs in POS-key order: the keys themselves rebuild
+// deterministically from the decoded facts (appendPOSKey), so no key
+// bytes are stored and no re-sort happens on decode.
 package store
 
 import (
@@ -45,12 +42,8 @@ import (
 // segMagic opens every encoded segment blob.
 var segMagic = [4]byte{'q', 's', 'e', 'g'}
 
-// segFormatVersion is the current blob format; segFormatV1 (no POS
-// section) remains decodable.
-const (
-	segFormatVersion = 2
-	segFormatV1      = 1
-)
+// segFormatVersion is the blob format; decoding refuses any other.
+const segFormatVersion = 2
 
 // segFixedHeaderLen is the byte length of the fixed prefix before the
 // variable header: magic(4) + version(1) + headerLen(4) + headerSum(8) +
@@ -84,13 +77,6 @@ type SegmentInfo struct {
 // EncodeSegment serializes the segment (including its resident payload)
 // into a standalone checksummed blob.
 func EncodeSegment(s *Segment) []byte {
-	return encodeSegmentAt(s, segFormatVersion)
-}
-
-// encodeSegmentAt writes the blob at a specific format version — v1
-// omits the POS section. Kept for compatibility tests; production
-// writes always use the current version.
-func encodeSegmentAt(s *Segment, version byte) []byte {
 	d := s.payload()
 
 	// Header.
@@ -148,21 +134,18 @@ func encodeSegmentAt(s *Segment, version byte) []byte {
 			body = append(body, 0)
 		}
 	}
-	if version != segFormatV1 {
-		// POS index (format v2): (fact index, object ordinal) pairs in
-		// POS-key order. Keys rebuild from the facts on decode.
-		_, pf, po := d.posIndex()
-		body = appendUvarint(body, uint64(len(pf)))
-		for i := range pf {
-			body = appendUvarint(body, uint64(pf[i]))
-			body = appendUvarint(body, uint64(po[i]))
-		}
+	// POS index: (fact index, object ordinal) pairs in POS-key order.
+	// Keys rebuild from the facts on decode.
+	body = appendUvarint(body, uint64(len(d.posFact)))
+	for i := range d.posFact {
+		body = appendUvarint(body, uint64(d.posFact[i]))
+		body = appendUvarint(body, uint64(d.posOrd[i]))
 	}
 	h = appendUvarint(h, uint64(len(body)))
 
 	out := make([]byte, 0, segFixedHeaderLen+len(h)+len(body))
 	out = append(out, segMagic[:]...)
-	out = append(out, version)
+	out = append(out, segFormatVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(h)))
 	out = binary.LittleEndian.AppendUint64(out, fnvSum(h))
 	out = binary.LittleEndian.AppendUint64(out, fnvSum(body))
@@ -181,7 +164,7 @@ func DecodeSegmentInfo(blob []byte) (SegmentInfo, error) {
 	if [4]byte(blob[:4]) != segMagic {
 		return SegmentInfo{}, errors.New("store: not a segment blob (bad magic)")
 	}
-	if blob[4] != segFormatVersion && blob[4] != segFormatV1 {
+	if blob[4] != segFormatVersion {
 		return SegmentInfo{}, fmt.Errorf("store: unsupported segment blob format %d", blob[4])
 	}
 	hlen := int(binary.LittleEndian.Uint32(blob[5:9]))
@@ -318,31 +301,28 @@ func DecodeSegment(blob []byte) (*Segment, error) {
 		e.Emerging = em[0] == 1
 		d.ents = append(d.ents, e)
 	}
-	if blob[4] != segFormatV1 {
-		// POS index: rebuild each entry's key from its fact — the stored
-		// (fact, ordinal) pairs are already in POS-key order.
-		np := int(r.uvarint())
-		if r.err != nil || np > len(body) {
-			return nil, fmt.Errorf("store: segment blob POS index: %w", errors.Join(r.err, ErrShortBlob))
+	// POS index: rebuild each entry's key from its fact — the stored
+	// (fact, ordinal) pairs are already in POS-key order.
+	np := int(r.uvarint())
+	if r.err != nil || np > len(body) {
+		return nil, fmt.Errorf("store: segment blob POS index: %w", errors.Join(r.err, ErrShortBlob))
+	}
+	d.posKeys = make([]string, np)
+	d.posFact = make([]int32, np)
+	d.posOrd = make([]int32, np)
+	var buf []byte
+	for i := 0; i < np; i++ {
+		fi, ord := r.uvarint(), r.uvarint()
+		if r.err != nil {
+			return nil, fmt.Errorf("store: segment blob POS index: %w", r.err)
 		}
-		pk := make([]string, np)
-		pf := make([]int32, np)
-		po := make([]int32, np)
-		var buf []byte
-		for i := 0; i < np; i++ {
-			fi, ord := r.uvarint(), r.uvarint()
-			if r.err != nil {
-				return nil, fmt.Errorf("store: segment blob POS index: %w", r.err)
-			}
-			if fi >= uint64(n) || ord > uint64(len(d.facts[fi].Objects)) {
-				return nil, errors.New("store: segment blob POS index out of range")
-			}
-			buf = appendPOSKey(buf[:0], &d.facts[fi], d.keys[fi], int32(ord))
-			pk[i] = string(buf)
-			pf[i] = int32(fi)
-			po[i] = int32(ord)
+		if fi >= uint64(n) || ord > uint64(len(d.facts[fi].Objects)) {
+			return nil, errors.New("store: segment blob POS index out of range")
 		}
-		d.posKeys, d.posFact, d.posOrd = pk, pf, po
+		buf = appendPOSKey(buf[:0], &d.facts[fi], d.keys[fi], int32(ord))
+		d.posKeys[i] = string(buf)
+		d.posFact[i] = int32(fi)
+		d.posOrd[i] = int32(ord)
 	}
 	if len(r.buf) != r.pos {
 		return nil, errors.New("store: segment blob has trailing bytes")

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -66,6 +67,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("decode %d: %v", i, err)
 		}
 		sameSegment(t, dec, seg, fmt.Sprintf("seg %d", i))
+		samePOSIndex(t, dec, seg, fmt.Sprintf("seg %d", i))
 		if dec.MemBytes() <= 0 {
 			t.Fatalf("seg %d: decoded segment reports no resident bytes", i)
 		}
@@ -140,83 +142,45 @@ func TestCodecDetectsCorruption(t *testing.T) {
 	if _, err := DecodeSegmentInfo(blob[:10]); !errors.Is(err, ErrShortBlob) {
 		t.Fatalf("short header: got %v, want ErrShortBlob", err)
 	}
-}
 
-// samePOSIndex asserts two payloads expose identical POS indexes
-// (forcing the lazy build on both sides).
-func samePOSIndex(t *testing.T, got, want *Segment, label string) {
-	t.Helper()
-	gk, gf, go_ := got.payload().posIndex()
-	wk, wf, wo := want.payload().posIndex()
-	if len(gk) != len(wk) {
-		t.Fatalf("%s: %d POS entries, want %d", label, len(gk), len(wk))
-	}
-	for i := range gk {
-		if gk[i] != wk[i] || gf[i] != wf[i] || go_[i] != wo[i] {
-			t.Fatalf("%s: POS entry %d = (%q,%d,%d), want (%q,%d,%d)",
-				label, i, gk[i], gf[i], go_[i], wk[i], wf[i], wo[i])
-		}
-	}
-}
-
-// TestCodecPOSIndexV1Compat: version-1 blobs (no POS section) still
-// decode, and the decoded segment lazily rebuilds a POS index identical
-// to the one sealed at build time — so a warm restart over a pre-index
-// store answers POS scans correctly. Current-version blobs round-trip
-// the stored index to the same entries.
-func TestCodecPOSIndexV1Compat(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 25; i++ {
-		seg := sealRand(rng, fmt.Sprintf("doc-%d", i))
-		if i%3 == 0 {
-			seg = MergeSegments(seg, sealRand(rng, fmt.Sprintf("doc-%d-b", i)))
-		}
-
-		v1 := encodeSegmentAt(seg, segFormatV1)
-		if v1[4] != segFormatV1 {
-			t.Fatalf("seg %d: v1 blob stamped version %d", i, v1[4])
-		}
-		dec1, err := DecodeSegment(v1)
-		if err != nil {
-			t.Fatalf("decode v1 blob %d: %v", i, err)
-		}
-		sameSegment(t, dec1, seg, fmt.Sprintf("v1 seg %d", i))
-		if dec1.payload().posKeys != nil {
-			t.Fatalf("seg %d: v1 decode materialized a POS index eagerly", i)
-		}
-		samePOSIndex(t, dec1, seg, fmt.Sprintf("v1 seg %d", i))
-
-		v2 := EncodeSegment(seg)
-		if v2[4] != segFormatVersion {
-			t.Fatalf("seg %d: blob stamped version %d", i, v2[4])
-		}
-		dec2, err := DecodeSegment(v2)
-		if err != nil {
-			t.Fatalf("decode v2 blob %d: %v", i, err)
-		}
-		if dec2.payload().posKeys == nil {
-			t.Fatalf("seg %d: v2 decode did not restore the POS index", i)
-		}
-		sameSegment(t, dec2, seg, fmt.Sprintf("v2 seg %d", i))
-		samePOSIndex(t, dec2, seg, fmt.Sprintf("v2 seg %d", i))
-	}
-
-	// Structural validation: a POS ordinal past its fact's object count
-	// must fail decode, not fault later at scan time. Corrupt the last
-	// pair in the blob's trailing POS section by rewriting its ordinal to
-	// an impossible single-byte varint, then re-stamp the body checksum so
-	// only the structural check can object.
-	seg := sealRand(rand.New(rand.NewSource(12)), "victim")
-	blob := EncodeSegment(seg)
-	_, _, po := seg.payload().posIndex()
-	if len(po) == 0 || po[len(po)-1] >= 99 {
+	// Well-formed blobs the decoder must still refuse. Each mutation
+	// re-stamps the body checksum, so only the named check can object.
+	victim := sealRand(rand.New(rand.NewSource(12)), "victim")
+	if po := victim.payload().posOrd; len(po) == 0 || po[len(po)-1] >= 99 {
 		t.Fatal("fixture segment has no corruptible POS entry")
 	}
-	blob[len(blob)-1] = 99 // ordinals here are tiny single-byte varints
-	hlen := int(binary.LittleEndian.Uint32(blob[5:9]))
-	body := blob[segFixedHeaderLen+hlen:]
-	binary.LittleEndian.PutUint64(blob[17:25], fnvSum(body))
-	if _, err := DecodeSegment(blob); err == nil {
-		t.Fatal("decode accepted a POS ordinal past the fact's object count")
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(blob []byte)
+	}{
+		// Format 1 predates the POS section and is no longer read.
+		{"format version 1", "unsupported segment blob format 1", func(blob []byte) { blob[4] = 1 }},
+		// A POS ordinal past its fact's object count must fail decode, not
+		// fault later at scan time. The last byte is the last pair's
+		// ordinal, a tiny single-byte varint.
+		{"POS ordinal past object count", "POS index out of range", func(blob []byte) { blob[len(blob)-1] = 99 }},
+	} {
+		blob := EncodeSegment(victim)
+		tc.mutate(blob)
+		hlen := int(binary.LittleEndian.Uint32(blob[5:9]))
+		binary.LittleEndian.PutUint64(blob[17:25], fnvSum(blob[segFixedHeaderLen+hlen:]))
+		if _, err := DecodeSegment(blob); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// samePOSIndex asserts two payloads carry identical POS indexes.
+func samePOSIndex(t *testing.T, got, want *Segment, label string) {
+	t.Helper()
+	gd, wd := got.payload(), want.payload()
+	if len(gd.posKeys) != len(wd.posKeys) {
+		t.Fatalf("%s: %d POS entries, want %d", label, len(gd.posKeys), len(wd.posKeys))
+	}
+	for i := range gd.posKeys {
+		if gd.posKeys[i] != wd.posKeys[i] || gd.posFact[i] != wd.posFact[i] || gd.posOrd[i] != wd.posOrd[i] {
+			t.Fatalf("%s: POS entry %d = (%q,%d,%d), want (%q,%d,%d)", label, i,
+				gd.posKeys[i], gd.posFact[i], gd.posOrd[i], wd.posKeys[i], wd.posFact[i], wd.posOrd[i])
+		}
 	}
 }

@@ -47,13 +47,14 @@ type Options struct {
 	// CheckpointEvery inserts a full-state checkpoint record after this
 	// many version records, bounding recovery replay. Default 256.
 	CheckpointEvery int
-	// QueueDepth is the pending-version queue between Publish and the
-	// writeback goroutine. A full queue applies backpressure to ingestion
-	// rather than dropping durability. Default 64.
-	QueueDepth int
 	// Logf receives recovery and quarantine warnings. Default log.Printf.
 	Logf func(format string, args ...any)
 }
+
+// queueDepth is the pending-version queue between Publish and the
+// writeback goroutine. A full queue applies backpressure to ingestion
+// rather than dropping durability.
+const queueDepth = 64
 
 // RecoveredDoc is one live document restored from the manifest. Its
 // segment is resident (recovery already read and verified the whole
@@ -169,9 +170,6 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 	if opt.CheckpointEvery <= 0 {
 		opt.CheckpointEvery = 256
 	}
-	if opt.QueueDepth <= 0 {
-		opt.QueueDepth = 64
-	}
 	if opt.Logf == nil {
 		opt.Logf = log.Printf
 	}
@@ -180,7 +178,7 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 			return nil, nil, err
 		}
 	}
-	s := &Store{dir: dir, opt: opt, jobs: make(chan job, opt.QueueDepth)}
+	s := &Store{dir: dir, opt: opt, jobs: make(chan job, queueDepth)}
 
 	rec, goodEnd, err := s.recover()
 	if err != nil {

@@ -101,10 +101,9 @@ func (s *Segment) ScanPOSPrefix(prefix string) *SegmentCursor {
 }
 
 // posRange binary-searches the POS index for the half-open positional
-// range of entries whose key starts with prefix, building the index
-// first when the payload predates it.
+// range of entries whose key starts with prefix.
 func (d *segData) posRange(prefix string) (ks []string, fi []int32, lo, hi int) {
-	ks, fi, _ = d.posIndex()
+	ks, fi = d.posKeys, d.posFact
 	lo = sort.Search(len(ks), func(i int) bool { return ks[i] >= prefix })
 	if end := prefixEnd(prefix); end != "" {
 		hi = lo + sort.Search(len(ks)-lo, func(i int) bool { return ks[lo+i] >= end })

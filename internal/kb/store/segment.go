@@ -43,13 +43,12 @@ type segData struct {
 
 	// POS (predicate–object–subject) secondary index: one entry per
 	// (fact, distinct object value) — plus one per zero-object fact —
-	// sorted by POS key (see appendPOSKey). Built at seal/merge time for
-	// new segments and lazily (posOnce) for payloads decoded from blobs
-	// that predate the index. posKeys is positional (entry i's key, not a
-	// permutation); posFact maps entries to fact indices; posOrd records
-	// which object produced the entry (0 = the zero-object entry, k > 0 =
-	// Objects[k-1]) so the codec can rebuild keys deterministically.
-	posOnce sync.Once
+	// sorted by POS key (see appendPOSKey). Filled by every constructor:
+	// seal, merge and blob decode. posKeys is positional (entry i's key,
+	// not a permutation); posFact maps entries to fact indices; posOrd
+	// records which object produced the entry (0 = the zero-object entry,
+	// k > 0 = Objects[k-1]) so the codec can rebuild keys
+	// deterministically.
 	posKeys []string
 	posFact []int32
 	posOrd  []int32
@@ -134,17 +133,6 @@ func (d *segData) buildPOS() {
 		d.posFact[i] = fact[p]
 		d.posOrd[i] = ord[p]
 	}
-}
-
-// posIndex returns the payload's POS index, building it on first use
-// when the payload was decoded from a blob that predates the index.
-func (d *segData) posIndex() (keys []string, fact, ord []int32) {
-	d.posOnce.Do(func() {
-		if d.posKeys == nil {
-			d.buildPOS()
-		}
-	})
-	return d.posKeys, d.posFact, d.posOrd
 }
 
 // segClock is a process-wide access tick used to order segments for LRU
@@ -504,8 +492,8 @@ func MergeSegments(a, b *Segment) *Segment {
 	// fact's, relation and object keys being case-normalized — and novel
 	// entries remap through bOut. The two sorted lists merge linearly,
 	// sharing key storage with the inputs.
-	apk, apf, apo := ad.posIndex()
-	bpk, bpf, bpo := bd.posIndex()
+	apk, apf, apo := ad.posKeys, ad.posFact, ad.posOrd
+	bpk, bpf, bpo := bd.posKeys, bd.posFact, bd.posOrd
 	out.posKeys = make([]string, 0, len(apk)+len(bpk))
 	out.posFact = make([]int32, 0, len(apk)+len(bpk))
 	out.posOrd = make([]int32, 0, len(apk)+len(bpk))

@@ -49,11 +49,10 @@ type Options struct {
 	// leader re-baselines with a reset record if that predates its
 	// retained history.
 	Since uint64
-	// Client performs HTTP requests when Dial is nil. Defaults to a
-	// client with no overall timeout (the stream is long-lived; per-record
-	// liveness is ReadTimeout's job).
-	Client *http.Client
 	// Dial overrides the transport entirely (fault injection in tests).
+	// When nil the stream is a GET through http.DefaultClient, which has
+	// no overall timeout: the stream is long-lived, and per-record
+	// liveness is ReadTimeout's job.
 	Dial DialFunc
 	// BackoffBase/BackoffMax bound the jittered exponential reconnect
 	// backoff. Defaults 100ms / 5s.
@@ -144,9 +143,6 @@ func New(opt Options) *Follower {
 	}
 	if opt.Logf == nil {
 		opt.Logf = log.Printf
-	}
-	if opt.Client == nil {
-		opt.Client = &http.Client{}
 	}
 	c := opt.Counters
 	if c == nil {
@@ -276,7 +272,7 @@ func (f *Follower) dial(ctx context.Context, since uint64, snapshot bool) (io.Re
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.opt.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -1,22 +1,18 @@
-// Package sched is the background maintenance scheduler: a small
-// priority-ordered job runner for work that must only ever touch
-// immutable snapshot versions — deferred tail compaction, run-cache
-// prewarming, analytics re-scoring, batch experiment sweeps — never the
-// live tree.
+// Package sched is the background maintenance scheduler: a small FIFO
+// worker pool for work that must only ever touch immutable snapshot
+// versions — deferred tail compaction, batch experiment sweeps — never
+// the live tree.
 //
-// The contract with the foreground ingest path has three parts:
+// The contract with the foreground ingest path has two parts:
 //
-//   - Priorities and budgets: jobs run highest-priority first (FIFO
-//     within a priority) and each job may carry a wall-clock budget; a
-//     job that overruns its budget has its context cancelled.
 //   - Supersession: jobs of the same Kind are keyed by the snapshot
 //     version they target. Submitting a newer version's job removes the
 //     pending older one and cancels a running one — work against a
 //     version nobody can adopt anymore is abandoned, not finished.
 //   - Ingest pressure: the foreground calls NotifyPressure on every
 //     publish. The scheduler will not start a job until the foreground
-//     has been quiet for Cooldown, but never defers a ready job past
-//     MaxStall — foreground work always wins the tie, background work
+//     has been quiet for cooldown, but never defers a ready job past
+//     maxStall — foreground work always wins the tie, background work
 //     still makes progress under a continuously loaded session.
 //
 // Everything is accounted through an optional stats.CounterSet (the
@@ -24,7 +20,6 @@
 package sched
 
 import (
-	"container/heap"
 	"context"
 	"sync"
 	"time"
@@ -43,24 +38,25 @@ const (
 	CounterStallNS    = "sched_stall_ns"
 )
 
+// The pressure gate: a job starts once the foreground has been quiet
+// for cooldown, or once it has waited maxStall, whichever comes first.
+const (
+	cooldown = 2 * time.Millisecond
+	maxStall = 100 * time.Millisecond
+)
+
 // Job is one unit of background work over an immutable snapshot.
 type Job struct {
-	// Name labels the job for accounting; it has no scheduling meaning.
-	Name string
 	// Kind is the supersession group: when a job of the same Kind with a
 	// higher Version is submitted, this job is removed (pending) or its
 	// context cancelled (running). "" disables supersession.
 	Kind string
-	// Priority orders the queue, highest first; ties run in submit order.
-	Priority int
 	// Version is the snapshot version the job targets, compared within
 	// its Kind for supersession.
 	Version uint64
-	// Budget bounds the job's wall-clock run time; 0 means unlimited.
-	Budget time.Duration
-	// Run does the work. It must honor ctx — cancellation means the
-	// job's budget expired, its version was superseded, or the
-	// scheduler closed — and must only read immutable snapshot state.
+	// Run does the work. It must honor ctx — cancellation means its
+	// version was superseded or the scheduler closed — and must only read
+	// immutable snapshot state.
 	Run func(ctx context.Context) error
 }
 
@@ -69,68 +65,26 @@ type Options struct {
 	// Workers is the number of concurrent job runners (default 1 — the
 	// maintenance work itself should not compete with foreground CPU).
 	Workers int
-	// Cooldown is the quiet period required after the last
-	// NotifyPressure before a job may start (default 2ms).
-	Cooldown time.Duration
-	// MaxStall caps how long ingest pressure may defer a ready job, so
-	// a continuously loaded foreground cannot starve maintenance
-	// (default 100ms).
-	MaxStall time.Duration
 	// Counters, when non-nil, receives the sched_* accounting.
 	Counters *stats.CounterSet
 }
 
-// pending is one queued job plus its heap bookkeeping.
-type pending struct {
-	job Job
-	seq uint64 // FIFO tie-break within a priority
-	idx int    // heap index, maintained by jobHeap
-}
-
-// jobHeap orders pending jobs by (priority desc, seq asc).
-type jobHeap []*pending
-
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, j int) bool {
-	if h[i].job.Priority != h[j].job.Priority {
-		return h[i].job.Priority > h[j].job.Priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h jobHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *jobHeap) Push(x any) {
-	p := x.(*pending)
-	p.idx = len(*h)
-	*h = append(*h, p)
-}
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return p
-}
-
-// running tracks one in-flight job for supersession and Close.
+// running tracks one popped job, from the pressure gate to its end, for
+// supersession, Drain and Close.
 type running struct {
 	kind    string
 	version uint64
 	cancel  context.CancelFunc
 }
 
-// Scheduler runs background jobs under the priority / supersession /
-// pressure contract. All methods are safe for concurrent use.
+// Scheduler runs background jobs in submit order under the supersession
+// / pressure contract. All methods are safe for concurrent use.
 type Scheduler struct {
 	opt Options
 
 	mu           sync.Mutex
 	cond         *sync.Cond
-	queue        jobHeap
-	seq          uint64
+	queue        []Job
 	active       map[*running]struct{}
 	lastPressure time.Time
 	closed       bool
@@ -141,12 +95,6 @@ type Scheduler struct {
 func New(opt Options) *Scheduler {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
-	}
-	if opt.Cooldown <= 0 {
-		opt.Cooldown = 2 * time.Millisecond
-	}
-	if opt.MaxStall <= 0 {
-		opt.MaxStall = 100 * time.Millisecond
 	}
 	s := &Scheduler{opt: opt, active: make(map[*running]struct{})}
 	s.cond = sync.NewCond(&s.mu)
@@ -170,22 +118,23 @@ func (s *Scheduler) Submit(j Job) bool {
 		return false
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return false
 	}
 	if j.Kind != "" {
 		// Drop pending same-kind jobs targeting older versions: nothing
 		// can adopt their result once this submission's version exists.
-		for i := 0; i < len(s.queue); {
-			q := s.queue[i]
-			if q.job.Kind == j.Kind && q.job.Version < j.Version {
-				heap.Remove(&s.queue, q.idx)
+		kept := s.queue[:0]
+		for _, q := range s.queue {
+			if q.Kind == j.Kind && q.Version < j.Version {
 				s.count(CounterSuperseded, 1)
-				continue // heap reshuffled; re-examine index i
+				continue
 			}
-			i++
+			kept = append(kept, q)
 		}
+		clear(s.queue[len(kept):])
+		s.queue = kept
 		for r := range s.active {
 			if r.kind == j.Kind && r.version < j.Version {
 				r.cancel()
@@ -193,25 +142,24 @@ func (s *Scheduler) Submit(j Job) bool {
 			}
 		}
 	}
-	s.seq++
-	heap.Push(&s.queue, &pending{job: j, seq: s.seq})
+	s.queue = append(s.queue, j)
 	s.count(CounterSubmitted, 1)
 	s.cond.Broadcast()
-	s.mu.Unlock()
 	return true
 }
 
 // NotifyPressure records foreground activity (an ingest publishing a
-// version): no new job starts until Cooldown has passed, up to MaxStall.
+// version): no new job starts until cooldown has passed, up to maxStall.
 func (s *Scheduler) NotifyPressure() {
 	s.mu.Lock()
 	s.lastPressure = time.Now()
 	s.mu.Unlock()
 }
 
-// Drain blocks until the queue is empty and no job is running. New
-// submissions after Drain returns run normally; use it in tests and at
-// controlled checkpoints, not as a shutdown (see Close).
+// Drain blocks until the queue is empty and no job is running or held
+// in the pressure gate. New submissions after Drain returns run
+// normally; use it in tests and at controlled checkpoints, not as a
+// shutdown (see Close).
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
 	for len(s.queue) > 0 || len(s.active) > 0 {
@@ -245,74 +193,74 @@ func (s *Scheduler) Close() {
 // worker is one runner goroutine.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		s.mu.Lock()
 		for !s.closed && len(s.queue) == 0 {
 			s.cond.Wait()
 		}
 		if s.closed {
-			s.mu.Unlock()
 			return
 		}
-		p := heap.Pop(&s.queue).(*pending)
-
-		// Pressure gate: hold the popped job until the foreground has
-		// been quiet for Cooldown, but never past MaxStall. Sleeping
-		// happens off the lock so Submit/NotifyPressure never block on a
-		// gated worker.
-		ready := time.Now()
-		stalled := time.Duration(0)
-		for {
-			quietFor := time.Since(s.lastPressure)
-			if quietFor >= s.opt.Cooldown || time.Since(ready) >= s.opt.MaxStall || s.closed {
-				break
-			}
-			wait := s.opt.Cooldown - quietFor
-			if rem := s.opt.MaxStall - time.Since(ready); rem < wait {
-				wait = rem
-			}
-			s.mu.Unlock()
-			time.Sleep(wait)
-			stalled += wait
-			s.mu.Lock()
-		}
-		if stalled > 0 {
-			s.count(CounterStallNS, int64(stalled))
-		}
-		if s.closed {
-			s.count(CounterCancelled, 1)
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-
-		var ctx context.Context
-		var cancel context.CancelFunc
-		if p.job.Budget > 0 {
-			ctx, cancel = context.WithTimeout(context.Background(), p.job.Budget)
-		} else {
-			ctx, cancel = context.WithCancel(context.Background())
-		}
-		r := &running{kind: p.job.Kind, version: p.job.Version, cancel: cancel}
+		j := s.queue[0]
+		s.queue[0] = Job{}
+		s.queue = s.queue[1:]
+		// The job is active from the pop on, so Drain waits for it while
+		// it is held in the pressure gate and a newer version's Submit can
+		// supersede it there.
+		ctx, cancel := context.WithCancel(context.Background())
+		r := &running{kind: j.Kind, version: j.Version, cancel: cancel}
 		s.active[r] = struct{}{}
-		s.mu.Unlock()
-
-		start := time.Now()
-		err := p.job.Run(ctx)
-		cancel()
-		s.count(CounterBusyNS, int64(time.Since(start)))
-		s.count(CounterRun, 1)
-		if err != nil {
-			if ctx.Err() != nil {
-				s.count(CounterCancelled, 1)
-			} else {
-				s.count(CounterFailed, 1)
-			}
+		s.awaitQuietLocked(ctx)
+		switch {
+		case ctx.Err() == nil:
+			s.mu.Unlock()
+			s.run(ctx, j)
+			s.mu.Lock()
+		case s.closed:
+			s.count(CounterCancelled, 1)
 		}
-
-		s.mu.Lock()
+		// Otherwise the job was superseded in the gate (already counted)
+		// and is dropped without running.
+		cancel()
 		delete(s.active, r)
 		s.cond.Broadcast()
+	}
+}
+
+// awaitQuietLocked is the pressure gate: it returns once the foreground
+// has been quiet for cooldown, the job has waited maxStall, or ctx is
+// cancelled. It sleeps off the lock so Submit and NotifyPressure never
+// block on a gated worker. Callers hold s.mu.
+func (s *Scheduler) awaitQuietLocked(ctx context.Context) {
+	ready := time.Now()
+	var stalled time.Duration
+	for ctx.Err() == nil {
+		wait := min(cooldown-time.Since(s.lastPressure), maxStall-time.Since(ready))
+		if wait <= 0 {
+			break
+		}
 		s.mu.Unlock()
+		time.Sleep(wait)
+		stalled += wait
+		s.mu.Lock()
+	}
+	if stalled > 0 {
+		s.count(CounterStallNS, int64(stalled))
+	}
+}
+
+// run executes one job off the lock and accounts for it.
+func (s *Scheduler) run(ctx context.Context, j Job) {
+	start := time.Now()
+	err := j.Run(ctx)
+	s.count(CounterBusyNS, int64(time.Since(start)))
+	s.count(CounterRun, 1)
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		s.count(CounterCancelled, 1)
+	default:
+		s.count(CounterFailed, 1)
 	}
 }

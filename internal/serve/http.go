@@ -29,33 +29,30 @@ type ContextAnswerer interface {
 	AnswerContext(ctx context.Context, question string) []string
 }
 
+// Request bounds: /kb builds from at most maxKBSize retrieved documents
+// (?size= defaults to 1), and a POST /ingest body is at most
+// maxIngestBytes.
+const (
+	maxKBSize      = 50
+	maxIngestBytes = 8 << 20
+)
+
 // HandlerOptions tune the HTTP endpoints.
 type HandlerOptions struct {
 	// DefaultSource restricts retrieval when the request omits ?source=
 	// ("wikipedia", "news" or "" for both).
 	DefaultSource string
-	// DefaultSize and MaxSize bound the ?size= document count (defaults 1
-	// and 50).
-	DefaultSize int
-	MaxSize     int
 	// Answerer serves /answer; when nil the endpoint returns 503.
 	Answerer Answerer
 	// Session is the daemon's live ingestion session, serving POST /ingest,
 	// POST /evict, GET /session, GET /facts and GET /deltas. When nil
 	// those endpoints return 503.
 	Session *qkbfly.Session
-	// MaxIngestBytes bounds a POST /ingest body (default 8 MiB).
-	MaxIngestBytes int64
 	// Replica, on a following daemon (-follow), serves reads — /facts,
 	// /query, /session — from the follower's last fingerprint-verified
 	// KB instead of a Session, and surfaces role/lag through /healthz
 	// and /stats. Mutually exclusive with Session.
 	Replica *replica.Follower
-	// StreamWriteTimeout bounds every single NDJSON record write on the
-	// streaming endpoints (/facts, /query, /deltas, /analytics); a
-	// consumer that stops reading is disconnected after one timeout
-	// instead of pinning the connection through drain. Default 15s.
-	StreamWriteTimeout time.Duration
 	// Analytics serves GET /analytics from an incremental tracker over
 	// the live session. When nil the endpoint returns 503.
 	Analytics *qkbfly.AnalyticsTracker
@@ -85,15 +82,6 @@ type HandlerOptions struct {
 // replicated version, and ?min_version=N pins read-your-writes (412 when
 // the replica is still behind N).
 func NewHandler(s *Server, opt HandlerOptions) http.Handler {
-	if opt.DefaultSize <= 0 {
-		opt.DefaultSize = 1
-	}
-	if opt.MaxSize <= 0 {
-		opt.MaxSize = 50
-	}
-	if opt.MaxIngestBytes <= 0 {
-		opt.MaxIngestBytes = 8 << 20
-	}
 	if opt.StartTime.IsZero() {
 		opt.StartTime = time.Now()
 	}
@@ -191,14 +179,12 @@ func handleKB(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.Requ
 		source = v[0]
 	}
 	// All parameters are validated before any engine work starts.
-	size, err := intParam(q.Get("size"), opt.DefaultSize, 1)
+	size, err := intParam(q.Get("size"), 1, 1)
 	if err != nil {
 		http.Error(w, "invalid size: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if size > opt.MaxSize {
-		size = opt.MaxSize
-	}
+	size = min(size, maxKBSize)
 	limit, err := intParam(q.Get("limit"), 100, 0) // an explicit limit=0 lists no facts
 	if err != nil {
 		http.Error(w, "invalid limit: "+err.Error(), http.StatusBadRequest)
@@ -322,7 +308,7 @@ func handleIngest(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Docs []ingestDoc `json:"docs"`
 	}
-	body := http.MaxBytesReader(w, r.Body, opt.MaxIngestBytes)
+	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		http.Error(w, "invalid body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -481,7 +467,7 @@ func handleFacts(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	feed := sess.Feed(r.Context(), qkbfly.FeedStart{
 		Since: since, Tail: r.URL.Query().Get("follow") != "", Drops: qkbfly.CounterWatchDrops,
 	})
-	streamFeed(w, opt, feed,
+	streamFeed(w, feed,
 		func(snap *qkbfly.Snapshot, sw *streamWriter) error {
 			return writeFactDump(sw, snap.KB(), snap.Version(), tau)
 		},

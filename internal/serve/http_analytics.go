@@ -121,7 +121,7 @@ func followAnalytics(tr *qkbfly.AnalyticsTracker, opt HandlerOptions, w http.Res
 	live := tr.WatchAnalytics(r.Context())
 	sum, key, _ := tr.Summary()
 
-	sw := startStream(w, opt, sum.Version)
+	sw := startStream(w, sum.Version)
 	first := analyticsResponse{Summary: sum, ContentID: contentKeySHA(key), ServedFromCache: true, Growth: []analytics.VersionDelta{}}
 	if sw.encode(first) != nil {
 		return

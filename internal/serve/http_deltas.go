@@ -54,7 +54,7 @@ func handleDeltas(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.
 		s.counters.Add(CounterDeltaRecords, 1)
 		return nil
 	}
-	streamFeed(w, opt, feed,
+	streamFeed(w, feed,
 		func(snap *qkbfly.Snapshot, sw *streamWriter) error {
 			// Re-baseline: the demanded (or horizon-forced) snapshot ships as
 			// the diff from empty, so the subscriber applies it to a fresh

@@ -187,7 +187,7 @@ func handleQuery(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.R
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		_ = writeRows(startStream(w, opt, snap.Version()), snap.Version(), rows)
+		_ = writeRows(startStream(w, snap.Version()), snap.Version(), rows)
 		return
 	}
 	rows, cached, err := s.QueryPattern(r.Context(), snap, p)
@@ -231,7 +231,7 @@ func streamIncremental(opt HandlerOptions, w http.ResponseWriter, r *http.Reques
 	feed := opt.Session.Feed(r.Context(), qkbfly.FeedStart{
 		Since: since, Tail: follow, Drops: qkbfly.CounterPatternWatchDrops,
 	})
-	streamFeed(w, opt, feed,
+	streamFeed(w, feed,
 		func(snap *qkbfly.Snapshot, sw *streamWriter) error {
 			// History behind since is gone: re-base on the full current answer.
 			if err := sw.encode(resetLine(snap.Version())); err != nil {

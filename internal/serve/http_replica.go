@@ -53,7 +53,7 @@ func handleFactsReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Reque
 	if !checkMinVersion(w, cur, min) {
 		return
 	}
-	sw := startStream(w, opt, cur)
+	sw := startStream(w, cur)
 	if since >= cur {
 		return // caller is current; nothing newer here
 	}
@@ -90,7 +90,7 @@ func handleQueryReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Reque
 	kb, cur := opt.Replica.KB()
 	rows := query.ScanKB(kb, p)
 	if req.Stream {
-		sw := startStream(w, opt, cur)
+		sw := startStream(w, cur)
 		for _, row := range rows {
 			if sw.encode(rowFor(cur, row)) != nil {
 				return

@@ -10,9 +10,8 @@ import (
 	"qkbfly"
 )
 
-// defaultStreamWriteTimeout bounds a single NDJSON record write when
-// HandlerOptions.StreamWriteTimeout is unset.
-const defaultStreamWriteTimeout = 15 * time.Second
+// streamWriteTimeout bounds a single NDJSON record write.
+const streamWriteTimeout = 15 * time.Second
 
 // streamWriter writes NDJSON records with a per-record write deadline
 // and a flush after every record. Every streaming response (/facts,
@@ -23,35 +22,26 @@ const defaultStreamWriteTimeout = 15 * time.Second
 // deadline applies per write, not per stream: a healthy slow reader
 // that keeps draining never trips it.
 type streamWriter struct {
-	rc      *http.ResponseController
-	enc     *json.Encoder
-	timeout time.Duration
+	rc  *http.ResponseController
+	enc *json.Encoder
 }
 
 // startStream begins an NDJSON response whose leading records are
 // complete up to version cur (stamped in X-QKBfly-Version, the version
 // a client resumes from). Transports that cannot set write deadlines
 // (test recorders) degrade to plain flushed writes.
-func startStream(w http.ResponseWriter, opt HandlerOptions, cur uint64) *streamWriter {
+func startStream(w http.ResponseWriter, cur uint64) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-QKBfly-Version", strconv.FormatUint(cur, 10))
 	w.WriteHeader(http.StatusOK)
-	timeout := opt.StreamWriteTimeout
-	if timeout <= 0 {
-		timeout = defaultStreamWriteTimeout
-	}
-	return &streamWriter{
-		rc:      http.NewResponseController(w),
-		enc:     json.NewEncoder(w),
-		timeout: timeout,
-	}
+	return &streamWriter{rc: http.NewResponseController(w), enc: json.NewEncoder(w)}
 }
 
 // encode writes one record and flushes it to the peer. A deadline
 // overrun surfaces as a write error; the handler treats it exactly like
 // a vanished client and ends the stream.
 func (sw *streamWriter) encode(v any) error {
-	if err := sw.rc.SetWriteDeadline(time.Now().Add(sw.timeout)); err != nil &&
+	if err := sw.rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)); err != nil &&
 		!errors.Is(err, http.ErrNotSupported) {
 		return err
 	}
@@ -96,9 +86,9 @@ func followTail[E any](sw *streamWriter, cur uint64, tail <-chan E, version func
 // /query?since= and /deltas: either the reset block or the replayed
 // versions, then the live tail. Endpoints differ only in how they
 // encode a re-baseline and one version.
-func streamFeed(w http.ResponseWriter, opt HandlerOptions, f qkbfly.Feed,
+func streamFeed(w http.ResponseWriter, f qkbfly.Feed,
 	reset func(*qkbfly.Snapshot, *streamWriter) error, version func(qkbfly.DeltaEvent, *streamWriter) error) {
-	sw := startStream(w, opt, f.Cur)
+	sw := startStream(w, f.Cur)
 	if f.Reset != nil && reset(f.Reset, sw) != nil {
 		return
 	}

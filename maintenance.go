@@ -1,8 +1,7 @@
 // Background maintenance over session snapshots: the bridge between a
 // Session and the internal/sched job scheduler. A Maintainer listens to
-// every published version (the session's maintenance hook) and submits
-// snapshot-isolated jobs — deferred tail compaction, run-cache / KB
-// prewarming, and pluggable re-scoring — that only ever read the
+// every published version (the session's maintenance hook) and submits a
+// snapshot-isolated deferred tail compaction that only ever reads the
 // immutable snapshot, never the live tree. Results flow back through
 // the same single-version publish discipline as ingestion: a compacted
 // tree is adopted only after a fingerprint-identity check against its
@@ -13,7 +12,6 @@ package qkbfly
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"qkbfly/internal/sched"
 	"qkbfly/internal/stats"
@@ -24,56 +22,21 @@ const (
 	CounterMaintCompactions = "maint_compactions_adopted"
 	CounterMaintSuperseded  = "maint_superseded"
 	CounterMaintVerifyFails = "maint_verify_failures"
-	CounterMaintPrewarms    = "maint_prewarms"
-	CounterMaintRescores    = "maint_rescores"
 )
 
-// Job kinds a Maintainer submits. Kinds are the scheduler's supersession
-// groups: a version-v job of a kind cancels pending/running jobs of the
-// same kind targeting older versions.
-const (
-	maintKindCompact = "maint.compact"
-	maintKindPrewarm = "maint.prewarm"
-	maintKindRescore = "maint.rescore"
-)
+// maintKindCompact is the scheduler supersession group of compaction
+// jobs: a version-v job cancels pending/running ones targeting older
+// versions of the same session.
+const maintKindCompact = "maint.compact"
 
-// Job priorities: compaction restores the read-path run bound, so it
-// outranks prewarming, which outranks best-effort re-scoring.
-const (
-	maintPrioCompact = 10
-	maintPrioPrewarm = 5
-	maintPrioRescore = 1
-)
+// minLooseRuns is the compaction trigger: a job is only submitted once
+// this many loose (uncompacted) leaf runs have accumulated since the last
+// full compaction — low enough that read fan-in stays near the O(log W)
+// bound, high enough that a burst of ingests coalesces into one job.
+const minLooseRuns = 4
 
 // MaintainerOptions configure background maintenance for one session.
 type MaintainerOptions struct {
-	// MinLooseRuns is the compaction trigger: a compaction job is only
-	// submitted when at least this many loose (uncompacted) leaf runs
-	// have accumulated since the last full compaction. <= 0 means 4 —
-	// low enough that read fan-in stays near the O(log W) bound, high
-	// enough that a burst of ingests coalesces into one job.
-	MinLooseRuns int
-	// Budget bounds each job's wall-clock run time (0 = unlimited). A
-	// compaction that overruns is cancelled mid-merge and the loose tree
-	// simply stays loose until the next trigger.
-	Budget time.Duration
-	// SkipVerify disables the fingerprint-identity check before a
-	// compacted tree is adopted. The default (false) verifies: the
-	// compacted tree must materialize to a KB fingerprint-identical to
-	// the snapshot it was derived from, or the result is discarded and
-	// counted as a verify failure. Verification materializes the
-	// compacted KB — background work, and exactly the partial merges a
-	// caching merge function will reuse — so leave it on outside of
-	// microbenchmarks.
-	SkipVerify bool
-	// Prewarm, when set, submits a lower-priority job per version that
-	// materializes the snapshot's KB and fingerprint, so the first
-	// foreground query after a quiet period hits warm caches.
-	Prewarm bool
-	// Rescore, when non-nil, runs as the lowest-priority job per version
-	// — the densify re-scoring hook. It must treat the snapshot as
-	// read-only and honor ctx.
-	Rescore func(ctx context.Context, snap *Snapshot)
 	// Counters, when non-nil, receives the maint_* accounting. Pass the
 	// same set as SessionOptions.Counters and sched.Options.Counters to
 	// surface all three groups through /stats.
@@ -81,25 +44,22 @@ type MaintainerOptions struct {
 }
 
 // Maintainer wires a Session to a sched.Scheduler: every published
-// version enqueues (never runs) snapshot-isolated maintenance jobs. One
+// version enqueues (never runs) a snapshot-isolated compaction job. One
 // scheduler may serve many maintainers (and other submitters, like
-// experiment sweeps); supersession is scoped by job kind per session via
-// the kind prefix.
+// experiment sweeps); supersession is scoped per session via the kind
+// prefix.
 type Maintainer struct {
 	s    *Session
 	sc   *sched.Scheduler
 	opt  MaintainerOptions
-	kind string // per-session kind prefix, isolating supersession groups
+	kind string // per-session supersession group
 }
 
 // NewMaintainer attaches background maintenance to a session. The
 // scheduler is shared, not owned: Close detaches the hook but does not
 // close the scheduler. The session must not already have a maintainer.
 func NewMaintainer(s *Session, sc *sched.Scheduler, opt MaintainerOptions) *Maintainer {
-	if opt.MinLooseRuns <= 0 {
-		opt.MinLooseRuns = 4
-	}
-	m := &Maintainer{s: s, sc: sc, opt: opt, kind: fmt.Sprintf("%p/", s)}
+	m := &Maintainer{s: s, sc: sc, opt: opt, kind: fmt.Sprintf("%p/%s", s, maintKindCompact)}
 	s.attachMaintenance(m)
 	return m
 }
@@ -116,48 +76,15 @@ func (m *Maintainer) count(name string, d int64) {
 }
 
 // published implements the session's maintenance hook. It runs under the
-// session lock, so it only signals pressure and enqueues jobs — the work
-// itself happens on scheduler workers against the immutable snap.
+// session lock, so it only signals pressure and enqueues the job — the
+// work itself happens on a scheduler worker against the immutable snap.
 func (m *Maintainer) published(v uint64, snap *Snapshot, looseRuns int) {
 	m.sc.NotifyPressure()
-	if looseRuns >= m.opt.MinLooseRuns && snap.tree.RunCount() > 1 {
+	if looseRuns >= minLooseRuns && snap.tree.RunCount() > 1 {
 		m.sc.Submit(sched.Job{
-			Name:     fmt.Sprintf("compact@v%d", v),
-			Kind:     m.kind + maintKindCompact,
-			Priority: maintPrioCompact,
-			Version:  v,
-			Budget:   m.opt.Budget,
-			Run:      func(ctx context.Context) error { return m.compact(ctx, snap) },
-		})
-	}
-	if m.opt.Prewarm {
-		m.sc.Submit(sched.Job{
-			Name:     fmt.Sprintf("prewarm@v%d", v),
-			Kind:     m.kind + maintKindPrewarm,
-			Priority: maintPrioPrewarm,
-			Version:  v,
-			Budget:   m.opt.Budget,
-			Run: func(ctx context.Context) error {
-				// Materializing fills the tree's (possibly caching) merge
-				// function and the snapshot's lazy KB + fingerprint cells.
-				snap.Fingerprint()
-				m.count(CounterMaintPrewarms, 1)
-				return nil
-			},
-		})
-	}
-	if m.opt.Rescore != nil {
-		m.sc.Submit(sched.Job{
-			Name:     fmt.Sprintf("rescore@v%d", v),
-			Kind:     m.kind + maintKindRescore,
-			Priority: maintPrioRescore,
-			Version:  v,
-			Budget:   m.opt.Budget,
-			Run: func(ctx context.Context) error {
-				m.opt.Rescore(ctx, snap)
-				m.count(CounterMaintRescores, 1)
-				return nil
-			},
+			Kind:    m.kind,
+			Version: v,
+			Run:     func(ctx context.Context) error { return m.compact(ctx, snap) },
 		})
 	}
 }
@@ -176,14 +103,14 @@ func (m *Maintainer) compact(ctx context.Context, snap *Snapshot) error {
 	if !changed {
 		return nil
 	}
-	if !m.opt.SkipVerify {
-		// Identity check against the uncompacted source: segment merging
-		// is associative in content and layout, so any divergence here
-		// means a broken merge function — refuse to publish it.
-		if compacted.Materialize().Fingerprint() != snap.Fingerprint() {
-			m.count(CounterMaintVerifyFails, 1)
-			return fmt.Errorf("qkbfly: maintenance: compacted tree diverges from snapshot at version %d", snap.version)
-		}
+	// Identity check against the uncompacted source: segment merging is
+	// associative in content and layout, so any divergence here means a
+	// broken merge function — refuse to publish it. Materializing the
+	// compacted KB is background work, and exactly the partial merges a
+	// caching merge function will reuse.
+	if compacted.Materialize().Fingerprint() != snap.Fingerprint() {
+		m.count(CounterMaintVerifyFails, 1)
+		return fmt.Errorf("qkbfly: maintenance: compacted tree diverges from snapshot at version %d", snap.version)
 	}
 	if !m.s.adoptCompacted(snap, compacted) {
 		m.count(CounterMaintSuperseded, 1)

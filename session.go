@@ -30,6 +30,12 @@ const (
 	CounterCompactBackstops  = "session_compact_backstops"
 )
 
+// compactionDebt is the deferred-compaction backstop: when this many
+// loose appends accumulate without a background compaction landing, the
+// next ingest compacts inline (counted as CounterCompactBackstops) so
+// read fan-in stays bounded even with no Maintainer attached.
+const compactionDebt = 64
+
 // ShardBuilder builds one deterministic KB shard per document — the
 // substrate a Session folds increments through. *System implements it
 // directly (every ingest is an engine run); *serve.Server implements it
@@ -110,14 +116,8 @@ type SessionOptions struct {
 	// snapshots, publishing the compacted layout back through
 	// adoptCompacted with a fingerprint-identity check. Reads work
 	// unchanged on loose trees; their per-run constant grows with the
-	// compaction debt, bounded by CompactionDebt.
+	// compaction debt, bounded by compactionDebt.
 	DeferCompaction bool
-	// CompactionDebt is the deferred-compaction backstop: when this many
-	// loose appends accumulate without a background compaction landing,
-	// the next ingest compacts inline (counted as CounterCompactBackstops)
-	// so read fan-in stays bounded even with no Maintainer attached.
-	// <= 0 means 64. Ignored unless DeferCompaction is set.
-	CompactionDebt int
 	// Counters, when non-nil, receives the session_* accounting:
 	// subscriber drops (plain, pattern and delta subscriptions shed for
 	// lagging a full buffer behind) and compaction backstops. Pass the
@@ -525,7 +525,7 @@ func (s *Session) Ingest(ctx context.Context, docs []*nlp.Document) (*Snapshot, 
 		// landing, read fan-in would grow one run per ingest — once the
 		// debt cap is hit this ingest compacts inline so the O(log W)
 		// bound holds even without a Maintainer attached.
-		if s.opt.DeferCompaction && s.loose >= s.compactionDebtLocked() {
+		if s.opt.DeferCompaction && s.loose >= compactionDebt {
 			if c, ok := tree.Compact(); ok {
 				tree = c
 			}
@@ -755,15 +755,6 @@ func (s *Session) count(name string, delta int64) {
 	if s.opt.Counters != nil {
 		s.opt.Counters.Add(name, delta)
 	}
-}
-
-// compactionDebtLocked resolves the deferred-compaction backstop cap.
-// Callers hold s.mu.
-func (s *Session) compactionDebtLocked() int {
-	if s.opt.CompactionDebt > 0 {
-		return s.opt.CompactionDebt
-	}
-	return 64
 }
 
 // attachMaintenance registers the background maintenance hook — at most

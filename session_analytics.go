@@ -16,14 +16,12 @@ const (
 	CounterAnalyticsDrops   = "analytics_watch_drops"
 )
 
+// analyticsWatchBuffer is how many versions a WatchAnalytics subscriber
+// may fall behind before it is dropped, like a session watcher.
+const analyticsWatchBuffer = 256
+
 // AnalyticsOptions configure an AnalyticsTracker.
 type AnalyticsOptions struct {
-	// GrowthLimit bounds the retained per-version growth records
-	// (analytics.State); <= 0 means 256.
-	GrowthLimit int
-	// WatchBuffer is each analytics subscriber channel's capacity; <= 0
-	// means 256. Lagging subscribers are dropped, like session watchers.
-	WatchBuffer int
 	// Counters, when non-nil, receives the analytics_* accounting.
 	Counters *stats.CounterSet
 }
@@ -61,19 +59,16 @@ type AnalyticsTracker struct {
 // returned tracker owns a background goroutine; Close it before (or
 // after) closing the session.
 func NewAnalyticsTracker(s *Session, opt AnalyticsOptions) *AnalyticsTracker {
-	if opt.WatchBuffer <= 0 {
-		opt.WatchBuffer = 256
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &AnalyticsTracker{
 		s:      s,
 		opt:    opt,
 		cancel: cancel,
 		done:   make(chan struct{}),
-		subs:   newFanout[analytics.VersionDelta](opt.WatchBuffer),
+		subs:   newFanout[analytics.VersionDelta](analyticsWatchBuffer),
 	}
 	f := t.feed(ctx)
-	t.st = analytics.FromKB(f.Reset.KB(), f.Cur, opt.GrowthLimit)
+	t.st = analytics.FromKB(f.Reset.KB(), f.Cur, 0)
 	t.contentID = cacheKeyOf(f.Reset)
 	go t.run(ctx, f.Tail)
 	return t
@@ -150,7 +145,7 @@ func (t *AnalyticsTracker) fold(ev *DeltaEvent) {
 // recovery path, and the reference the property test holds folding to.
 // The recompute runs off the tracker lock (it materializes the KB).
 func (t *AnalyticsTracker) resync(snap *Snapshot) {
-	st := analytics.FromKB(snap.KB(), snap.Version(), t.opt.GrowthLimit)
+	st := analytics.FromKB(snap.KB(), snap.Version(), 0)
 	id := cacheKeyOf(snap)
 	t.mu.Lock()
 	if snap.Version() >= t.st.Version() {

@@ -36,7 +36,7 @@ func TestSessionAnalyticsFoldMatchesRecompute(t *testing.T) {
 	sys := qkbfly.New(f.res, qkbfly.DefaultConfig())
 	ctx := context.Background()
 	counters := stats.NewCounterSet()
-	sc := sched.New(sched.Options{Cooldown: time.Millisecond, MaxStall: 10 * time.Millisecond, Counters: counters})
+	sc := sched.New(sched.Options{Counters: counters})
 	defer sc.Close()
 
 	sess := sys.OpenSession(qkbfly.SessionOptions{
@@ -45,7 +45,7 @@ func TestSessionAnalyticsFoldMatchesRecompute(t *testing.T) {
 		Counters:        counters,
 	})
 	defer sess.Close()
-	m := qkbfly.NewMaintainer(sess, sc, qkbfly.MaintainerOptions{MinLooseRuns: 1, Counters: counters})
+	m := qkbfly.NewMaintainer(sess, sc, qkbfly.MaintainerOptions{Counters: counters})
 	defer m.Close()
 
 	// Reference fold: our own delta subscription, attached before any
@@ -108,7 +108,6 @@ func TestSessionAnalyticsFoldMatchesRecompute(t *testing.T) {
 	// passing fingerprint-identity gate — so the per-version checks above
 	// covered background-compacted snapshots.
 	sc.Drain()
-	sc.Drain() // the final publish's job settles after the first drain
 	if got := counters.Get(qkbfly.CounterMaintCompactions); got == 0 {
 		t.Fatal("no background compaction adopted during the feed")
 	}
