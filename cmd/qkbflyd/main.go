@@ -31,8 +31,8 @@
 // With -follow <leader-url> the daemon runs as a read-only replication
 // follower instead: it skips world generation entirely, subscribes to
 // the leader's GET /deltas stream, applies each version's delta and
-// verifies its KB fingerprint against the leader's stamp before serving
-// it. Reads (/facts, /query, /session) come from the last verified
+// verifies its KB's content identity against the leader's stamp before
+// serving it. Reads (/facts, /query, /session) come from the last verified
 // version; /healthz and /stats report role, lag and quarantines. A
 // -data-dir names a blob-store directory (seeded from the leader's) to
 // bootstrap from, so a follower far behind the leader's retained history
@@ -41,8 +41,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -85,7 +83,7 @@ func main() {
 		memBudget     = flag.Int64("mem-budget", 0, "resident segment-payload byte budget with -data-dir; cold segments demote to disk (0 = keep everything resident)")
 		follow        = flag.String("follow", "", "leader base URL (e.g. http://leader:8080): run as a read-only replication follower")
 		retryBudget   = flag.Int("retry-budget", 10, "with -follow, consecutive failed leader connects before /healthz reports degraded (0 = never)")
-		maintenance   = flag.Bool("maintenance", true, "run the background maintenance scheduler: ingest defers tail compaction off the publish path, a snapshot-isolated worker compacts (fingerprint-verified), and /analytics folds incrementally from the delta stream")
+		maintenance   = flag.Bool("maintenance", true, "run the background maintenance scheduler: ingest defers tail compaction off the publish path, a snapshot-isolated worker compacts (identity-verified), and /analytics folds incrementally from the delta stream")
 	)
 	flag.Parse()
 	startTime := time.Now()
@@ -181,15 +179,16 @@ func main() {
 				os.Exit(1)
 			}
 			if rec.Sealed {
-				// A sealed manifest pins the KB fingerprint the previous
-				// process shut down with: verify the restored session
+				// A sealed manifest pins the content identity the previous
+				// process shut down with: verify the restored session (whose
+				// identity Restore computed from the restored tree)
 				// reproduces it exactly before serving anything.
-				sum := sha256.Sum256([]byte(session.Snapshot().Fingerprint()))
-				if got := hex.EncodeToString(sum[:]); got != rec.FingerprintSHA {
-					fmt.Fprintf(os.Stderr, "restored KB fingerprint does not match the sealed manifest (data corruption?): refusing to serve\n")
+				if got := session.Snapshot().Identity(); got != rec.Identity {
+					fmt.Fprintf(os.Stderr, "restored KB identity %s does not match the sealed manifest's %s (data corruption?): refusing to serve\n",
+						got.Hex(), rec.Identity.Hex())
 					os.Exit(1)
 				}
-				fmt.Fprintf(os.Stderr, "warm restart: version %d, %d documents, fingerprint verified\n",
+				fmt.Fprintf(os.Stderr, "warm restart: version %d, %d documents, identity verified\n",
 					rec.Version, len(rec.Docs))
 			} else {
 				fmt.Fprintf(os.Stderr, "recovering from unclean shutdown: resumed at last complete version %d, %d documents\n",
@@ -211,7 +210,7 @@ func main() {
 	defer stopPatternMaint()
 
 	// Background maintenance: a snapshot-isolated scheduler compacts the
-	// session's deferred runs (adopted only after a fingerprint-identity
+	// session's deferred runs (adopted only after a content-identity
 	// check, and only if the version was not superseded mid-job); the
 	// analytics tracker folds every published delta so GET /analytics
 	// answers in O(1) regardless of corpus size. One worker: supersession
@@ -285,9 +284,9 @@ func main() {
 	}
 	if pstore != nil {
 		// Drain the writeback queue, then seal the manifest with the final
-		// KB fingerprint so the next boot can verify its warm restart.
+		// content identity so the next boot can verify its warm restart.
 		pstore.Flush()
-		pstore.Seal(session.Snapshot().Fingerprint())
+		pstore.Seal(session.Snapshot().Identity())
 		if err := pstore.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "closing durable store: %v\n", err)
 		} else {
@@ -312,13 +311,13 @@ func runFollower(addr, leader, dataDir string, retryBudget int, drain time.Durat
 		Logf:        logf,
 	})
 	if dataDir != "" {
-		kb, ver, sha, err := replica.Bootstrap(dataDir, logf)
+		kb, ver, id, err := replica.Bootstrap(dataDir, logf)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bootstrapping from %s: %v\n", dataDir, err)
 			os.Exit(1)
 		}
-		f.Seed(kb, ver, sha)
-		fmt.Fprintf(os.Stderr, "bootstrapped from %s: version %d, %d facts, fingerprint verified\n",
+		f.Seed(kb, ver, id)
+		fmt.Fprintf(os.Stderr, "bootstrapped from %s: version %d, %d facts\n",
 			dataDir, ver, kb.Len())
 	}
 

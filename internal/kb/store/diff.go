@@ -12,7 +12,10 @@
 // fingerprint-identical to b.
 package store
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Delta is the key-based difference between two KB versions (old → new).
 // All slices are sorted by dedup key (facts) or entity ID, so a delta is
@@ -27,9 +30,9 @@ type Delta struct {
 	// not contain.
 	Added []Fact
 	// Upgraded holds the new version's record for every key present in
-	// both versions whose Confidence, Source or Pattern changed in place
-	// (including downgrades caused by evicting the previously winning
-	// evidence).
+	// both versions whose record changed (see factChanged) — a confidence
+	// raise from new evidence, or a downgrade or respelling caused by
+	// evicting the previously winning or oldest evidence.
 	Upgraded []Fact
 	// Removed holds the old version's record for every key the new
 	// version no longer contains.
@@ -49,12 +52,14 @@ func (d *Delta) Empty() bool {
 		len(d.AddedEntities) == 0 && len(d.ChangedEntities) == 0 && len(d.RemovedEntities) == 0
 }
 
-// factChanged reports whether the winning record under one key differs
-// between two versions. Key equality already pins the subject, the
-// lowered relation and the objects; only the fields AddFact updates in
-// place can differ.
+// factChanged reports whether the record under one key differs between
+// two versions: in the fields AddFact updates in place, or in spelling —
+// key equality pins the subject, relation and objects only up to case,
+// and the materialized KB spells a key as its oldest surviving
+// occurrence does, so evicting that occurrence can respell it.
 func factChanged(old, new *Fact) bool {
-	return old.Confidence != new.Confidence || old.Source != new.Source || old.Pattern != new.Pattern
+	return old.Confidence != new.Confidence || old.Source != new.Source || old.Pattern != new.Pattern ||
+		old.Relation != new.Relation || old.Subject != new.Subject || !slices.Equal(old.Objects, new.Objects)
 }
 
 // entityChanged reports whether two records for the same entity ID
@@ -145,14 +150,19 @@ func Diff(old, new *KB) Delta {
 }
 
 // DiffTrees computes the same delta as Diff over the two trees'
-// materialized KBs, without materializing either. changed must contain
-// every leaf segment added to or removed from old to obtain new: only
-// keys (and entity IDs) those segments mention can change winners, so
-// the walk is O(|changed| · log W) point lookups instead of O(window).
-// The session layer uses this to stamp each published version's delta at
-// sliding-ingest cost.
-func DiffTrees(old, new *Tree, changed []*Segment) Delta {
+// materialized KBs, without materializing either, together with the
+// identity change it carries: Identity(new) − Identity(old), the hashes
+// of the records it adds or upgrades to minus those of the records it
+// removes or replaces. changed must contain every leaf segment added to
+// or removed from old to obtain new: only keys (and entity IDs) those
+// segments mention can change winners, so the walk is O(|changed| ·
+// log W) point lookups instead of O(window). The session layer uses this
+// to publish each version's delta, counts and identity at sliding-ingest
+// cost.
+func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
 	var d Delta
+	var did Identity
+	var h lineHasher
 	anon := func(f *Fact) Fact { // segment-local IDs are meaningless; see Delta
 		cp := *f
 		cp.ID = -1
@@ -164,10 +174,13 @@ func DiffTrees(old, new *Tree, changed []*Segment) Delta {
 		switch {
 		case newOK && !oldOK:
 			d.Added = append(d.Added, anon(nf))
+			did = did.Add(h.fact(nf))
 		case oldOK && !newOK:
 			d.Removed = append(d.Removed, anon(of))
+			did = did.Sub(h.fact(of))
 		case oldOK && newOK && factChanged(of, nf):
 			d.Upgraded = append(d.Upgraded, anon(nf))
+			did = did.Add(h.fact(nf)).Sub(h.fact(of))
 		}
 	}
 	for _, id := range candidateEntities(changed) {
@@ -176,18 +189,22 @@ func DiffTrees(old, new *Tree, changed []*Segment) Delta {
 		switch {
 		case newOK && !oldOK:
 			d.AddedEntities = append(d.AddedEntities, ne)
+			did = did.Add(h.entity(&ne))
 		case oldOK && !newOK:
 			d.RemovedEntities = append(d.RemovedEntities, oe)
+			did = did.Sub(h.entity(&oe))
 		case oldOK && newOK && entityChanged(&oe, &ne):
 			d.ChangedEntities = append(d.ChangedEntities, ne)
+			did = did.Add(h.entity(&ne)).Sub(h.entity(&oe))
 		}
 	}
-	return d
+	return d, did
 }
 
 // Apply reconstructs the newer version from base: base's facts minus
 // Removed keys, with Upgraded records substituted in place and Added
-// facts appended; entities likewise. apply(a, Diff(a, b)) is
+// facts appended (an Added key base already holds folds in under the
+// AddFact winner rule); entities likewise. apply(a, Diff(a, b)) is
 // fingerprint-identical to b for any two KBs. base is not mutated.
 func (d *Delta) Apply(base *KB) *KB {
 	removed := make(map[string]struct{}, len(d.Removed))
@@ -231,9 +248,7 @@ func (d *Delta) Apply(base *KB) *KB {
 		}
 		f := base.facts[i]
 		if uf, ok := upgraded[keyOf[i]]; ok {
-			f.Confidence = uf.Confidence
-			f.Source = uf.Source
-			f.Pattern = uf.Pattern
+			f = *uf
 		}
 		f.Objects = append([]Value(nil), f.Objects...)
 		out.AddFact(f)

@@ -110,7 +110,7 @@ func TestDiffTreesMatchesFlatDiff(t *testing.T) {
 			fx.remove(j)
 		}
 
-		got := DiffTrees(old, fx.tree, changed)
+		got, _ := DiffTrees(old, fx.tree, changed)
 		want := Diff(oldKB, fx.tree.Materialize())
 		assertDeltasEqual(t, got, want, fmt.Sprintf("seed %d", seed))
 

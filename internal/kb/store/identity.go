@@ -1,0 +1,284 @@
+// Content identity of a KB version: an additive multiset hash over the
+// lines of its Fingerprint(). Identity(KB) = Σ SHA-256(line) mod 2²⁵⁶,
+// one line per fact and per entity record. Because the sum is
+// commutative and invertible, a version's identity follows from its
+// predecessor's in O(|delta|) — subtract the hashes of the records a
+// change replaced, add those of the records it introduced — so the
+// session can stamp every version, and a follower can verify every
+// applied delta, without materializing or fingerprinting the KB.
+//
+// The identity is a fault check, not an authenticator: anyone able to
+// rewrite a record in transit or on disk can rewrite its stamp too.
+package store
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math/bits"
+	"slices"
+	"strconv"
+	"strings"
+)
+
+// Identity is the multiset hash of a KB's fingerprint lines: a 256-bit
+// integer held as four little-endian 64-bit limbs. The zero value is the
+// identity of the empty KB.
+type Identity [4]uint64
+
+// Add returns a + b mod 2²⁵⁶.
+func (a Identity) Add(b Identity) Identity {
+	var out Identity
+	var carry uint64
+	for i := range a {
+		out[i], carry = bits.Add64(a[i], b[i], carry)
+	}
+	return out
+}
+
+// Sub returns a − b mod 2²⁵⁶.
+func (a Identity) Sub(b Identity) Identity {
+	var out Identity
+	var borrow uint64
+	for i := range a {
+		out[i], borrow = bits.Sub64(a[i], b[i], borrow)
+	}
+	return out
+}
+
+// Hex renders the identity as 64 big-endian hex digits — the form the
+// replication stamp, the durable seal and /stats carry.
+func (a Identity) Hex() string {
+	var b [32]byte
+	for i := range a {
+		binary.BigEndian.PutUint64(b[24-8*i:], a[i])
+	}
+	return hex.EncodeToString(b[:])
+}
+
+// ParseIdentity is the inverse of Identity.Hex.
+func ParseIdentity(s string) (Identity, error) {
+	var b [32]byte
+	if len(s) != 2*len(b) {
+		return Identity{}, fmt.Errorf("store: identity %q: want %d hex digits", s, 2*len(b))
+	}
+	if _, err := hex.Decode(b[:], []byte(s)); err != nil {
+		return Identity{}, fmt.Errorf("store: identity %q: %w", s, err)
+	}
+	var a Identity
+	for i := range a {
+		a[i] = binary.BigEndian.Uint64(b[24-8*i:])
+	}
+	return a, nil
+}
+
+// hashLine is one fingerprint line's term of the sum: its SHA-256 read
+// as a big-endian 256-bit integer.
+func hashLine(line []byte) Identity {
+	sum := sha256.Sum256(line)
+	var a Identity
+	for i := range a {
+		a[i] = binary.BigEndian.Uint64(sum[24-8*i:])
+	}
+	return a
+}
+
+// TextIdentity returns the identity of a KB from its Fingerprint() text:
+// the sum over its newline-separated lines. The empty text (the empty
+// KB) has the zero identity.
+func TextIdentity(fingerprint string) Identity {
+	var id Identity
+	if fingerprint == "" {
+		return id
+	}
+	for line := range strings.SplitSeq(fingerprint, "\n") {
+		id = id.Add(hashLine([]byte(line)))
+	}
+	return id
+}
+
+// appendFactLine appends a fact's fingerprint line:
+//
+//	f <subject, relation, object...> conf=<g> src=<doc>:<sentence>
+//
+// Fingerprint and every identity computation format lines here, so the
+// text and the hash cannot drift apart.
+func appendFactLine(buf []byte, f *Fact) []byte {
+	buf = append(buf, "f "...)
+	buf = appendFactText(buf, f)
+	buf = append(buf, " conf="...)
+	buf = strconv.AppendFloat(buf, f.Confidence, 'g', -1, 64)
+	buf = append(buf, " src="...)
+	buf = append(buf, f.Source.DocID...)
+	buf = append(buf, ':')
+	return strconv.AppendInt(buf, int64(f.Source.SentIndex), 10)
+}
+
+// appendFactText appends Fact.String(): <subject, relation, object...>.
+func appendFactText(buf []byte, f *Fact) []byte {
+	buf = append(buf, '<')
+	buf = appendValueText(buf, f.Subject)
+	buf = append(buf, ", "...)
+	buf = append(buf, f.Relation...)
+	for _, o := range f.Objects {
+		buf = append(buf, ", "...)
+		buf = appendValueText(buf, o)
+	}
+	return append(buf, '>')
+}
+
+// appendValueText appends Value.String(): the entity ID, or the quoted
+// literal.
+func appendValueText(buf []byte, v Value) []byte {
+	if v.IsEntity() {
+		return append(buf, v.EntityID...)
+	}
+	return strconv.AppendQuote(buf, v.Literal)
+}
+
+// appendEntityLine appends an entity record's fingerprint line, with
+// mentions and types sorted so the line does not depend on the order
+// evidence arrived in:
+//
+//	e <id> name=<quoted> emerging=<bool> mentions=[a b] types=[x y]
+func appendEntityLine(buf []byte, e *EntityRecord) []byte {
+	buf = append(buf, "e "...)
+	buf = append(buf, e.ID...)
+	buf = append(buf, " name="...)
+	buf = strconv.AppendQuote(buf, e.Name)
+	buf = append(buf, " emerging="...)
+	buf = strconv.AppendBool(buf, e.Emerging)
+	buf = append(buf, " mentions="...)
+	buf = appendSortedList(buf, e.Mentions)
+	buf = append(buf, " types="...)
+	return appendSortedList(buf, e.Types)
+}
+
+// appendSortedList appends a sorted copy of xs as "[a b c]".
+func appendSortedList(buf []byte, xs []string) []byte {
+	sorted := slices.Sorted(slices.Values(xs))
+	buf = append(buf, '[')
+	for i, x := range sorted {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, x...)
+	}
+	return append(buf, ']')
+}
+
+// lineHasher hashes fingerprint lines through one reused buffer.
+type lineHasher struct{ buf []byte }
+
+func (h *lineHasher) fact(f *Fact) Identity {
+	h.buf = appendFactLine(h.buf[:0], f)
+	return hashLine(h.buf)
+}
+
+func (h *lineHasher) entity(e *EntityRecord) Identity {
+	h.buf = appendEntityLine(h.buf[:0], e)
+	return hashLine(h.buf)
+}
+
+// Identity returns the KB's content identity, computed from scratch: one
+// hash per fact and per entity record, with no sort and no join.
+// TextIdentity(kb.Fingerprint()) is the same value.
+func (kb *KB) Identity() Identity {
+	var h lineHasher
+	var id Identity
+	for i := range kb.facts {
+		id = id.Add(h.fact(&kb.facts[i]))
+	}
+	for _, eid := range kb.order {
+		id = id.Add(h.entity(kb.entities[eid]))
+	}
+	return id
+}
+
+// Identity returns the content identity of the KB the tree materializes
+// to, with its fact and entity counts, without materializing it: facts
+// stream from a whole-tree ScanPrefix (each key's winning record, spelled
+// as the materialized KB spells it) and entity records merge across runs
+// the way MergeSegments merges them.
+func (t *Tree) Identity() (id Identity, facts, entities int) {
+	var h lineHasher
+	c := t.ScanPrefix("")
+	for _, f, ok := c.Next(); ok; _, f, ok = c.Next() {
+		id = id.Add(h.fact(&f))
+		facts++
+	}
+	var merged []EntityRecord
+	idx := make(map[string]int)
+	for _, r := range t.runs {
+		ents := r.seg.payload().ents
+		for i := range ents {
+			e := &ents[i]
+			if j, ok := idx[e.ID]; ok {
+				unionEntity(&merged[j], e)
+				continue
+			}
+			idx[e.ID] = len(merged)
+			merged = append(merged, copyEntity(e))
+		}
+	}
+	for i := range merged {
+		id = id.Add(h.entity(&merged[i]))
+	}
+	return id, facts, len(merged)
+}
+
+// FoldIdentity returns the identity of next = d.Apply(base) from base's
+// identity in O(|d|): only the fact keys and entity IDs the delta names
+// can differ between the two KBs, so for each of them the hash of base's
+// record is subtracted and the hash of next's record added. Both records
+// are read from the actual KBs, never from the delta, so a delta that
+// applied to something other than what its sender meant still changes
+// the result. A key named twice (an Added fact whose key base already
+// holds, say) is folded once.
+func (d *Delta) FoldIdentity(base, next *KB, baseID Identity) Identity {
+	var h lineHasher
+	id := baseID
+	seen := make(map[string]struct{}, len(d.Added)+len(d.Upgraded)+len(d.Removed))
+	for _, facts := range [3][]Fact{d.Added, d.Upgraded, d.Removed} {
+		for i := range facts {
+			key := FactKey(&facts[i])
+			if _, dup := seen[key]; dup {
+				continue
+			}
+			seen[key] = struct{}{}
+			if f, ok := base.factByKey(key); ok {
+				id = id.Sub(h.fact(f))
+			}
+			if f, ok := next.factByKey(key); ok {
+				id = id.Add(h.fact(f))
+			}
+		}
+	}
+	clear(seen)
+	for _, ents := range [3][]EntityRecord{d.AddedEntities, d.ChangedEntities, d.RemovedEntities} {
+		for i := range ents {
+			eid := ents[i].ID
+			if _, dup := seen[eid]; dup {
+				continue
+			}
+			seen[eid] = struct{}{}
+			if e := base.entities[eid]; e != nil {
+				id = id.Sub(h.entity(e))
+			}
+			if e := next.entities[eid]; e != nil {
+				id = id.Add(h.entity(e))
+			}
+		}
+	}
+	return id
+}
+
+// factByKey returns the fact stored under a dedup key.
+func (kb *KB) factByKey(key string) (*Fact, bool) {
+	i, ok := kb.byKey[key]
+	if !ok {
+		return nil, false
+	}
+	return &kb.facts[i], true
+}

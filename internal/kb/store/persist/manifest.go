@@ -18,10 +18,15 @@
 //	'C' checkpoint — version, nextSeq, the full live document list.
 //	    Appended every CheckpointEvery version records so recovery replays
 //	    a bounded suffix.
-//	'S' seal — a checkpoint plus the SHA-256 of the sealed version's KB
-//	    fingerprint. Written by a graceful shutdown; its presence at the
-//	    manifest tail is what makes the next boot a *verified* warm
-//	    restart.
+//	'I' seal — a checkpoint plus the sealed version's content identity
+//	    (store.Identity, hex). Written by a graceful shutdown; its
+//	    presence at the manifest tail is what makes the next boot a
+//	    *verified* warm restart.
+//	'S' legacy seal — a checkpoint plus the SHA-256 of the sealed
+//	    version's fingerprint text, as stores sealed before the identity
+//	    scheme wrote it. Nothing writes it any more; recovery reads it as
+//	    a checkpoint, since its digest cannot be checked against an
+//	    identity, so such a store boots as after an unclean shutdown.
 package persist
 
 import (
@@ -42,13 +47,13 @@ type docRef struct {
 
 // record is one decoded manifest record.
 type record struct {
-	kind    byte     // 'V', 'C' or 'S'
+	kind    byte     // 'V', 'C', 'I' or 'S'
 	version uint64   // session version after this record
 	nextSeq uint64   // session arrival-sequence watermark after this record
 	adds    []docRef // 'V': documents added by this version
 	dels    []uint64 // 'V': arrival sequences removed by this version
-	docs    []docRef // 'C'/'S': full live document list
-	fpSHA   string   // 'S': hex SHA-256 of the KB fingerprint
+	docs    []docRef // 'C'/'I'/'S': full live document list
+	seal    string   // 'I': hex identity; 'S': hex SHA-256 of the fingerprint text
 }
 
 const frameHeaderLen = 12 // length(4) + checksum(8)
@@ -88,15 +93,15 @@ func encodeRecord(r *record) []byte {
 		for _, d := range r.dels {
 			p = appendUvarint(p, d)
 		}
-	case 'C', 'S':
+	case 'C', 'I', 'S':
 		p = appendUvarint(p, uint64(len(r.docs)))
 		for _, d := range r.docs {
 			p = appendString(p, d.Key)
 			p = appendUvarint(p, d.Seq)
 			p = appendString(p, d.Hash)
 		}
-		if r.kind == 'S' {
-			p = appendString(p, r.fpSHA)
+		if r.kind != 'C' {
+			p = appendString(p, r.seal)
 		}
 	}
 	out := make([]byte, 0, frameHeaderLen+len(p))
@@ -168,10 +173,10 @@ func decodeRecord(p []byte) (*record, error) {
 		for i := 0; i < nd; i++ {
 			rec.dels = append(rec.dels, r.uvarint())
 		}
-	case 'C', 'S':
+	case 'C', 'I', 'S':
 		rec.docs = r.docRefs(int(r.uvarint()))
-		if rec.kind == 'S' {
-			rec.fpSHA = r.string()
+		if rec.kind != 'C' {
+			rec.seal = r.string()
 		}
 	default:
 		return nil, fmt.Errorf("persist: unknown manifest record kind %q", rec.kind)

@@ -74,11 +74,11 @@ type Recovered struct {
 	NextSeq uint64
 	Docs    []RecoveredDoc // arrival order
 	// Sealed reports a clean shutdown: the manifest ended with a seal
-	// record, so FingerprintSHA can verify the restored KB.
+	// record, so Identity can verify the restored KB.
 	Sealed bool
-	// FingerprintSHA is the hex SHA-256 of the sealed version's KB
-	// fingerprint ("" unless Sealed).
-	FingerprintSHA string
+	// Identity is the sealed version's content identity (zero unless
+	// Sealed).
+	Identity store.Identity
 	// Dropped counts manifest records discarded during recovery (torn
 	// tail or records referencing unverifiable blobs).
 	Dropped int
@@ -91,8 +91,8 @@ type job struct {
 	adds    []addJob
 	dels    []uint64
 	tree    *store.Tree
-	// control jobs (flush/seal/close) leave tree nil and signal done.
-	seal string // KB fingerprint to seal with ("" for plain flush)
+	// control jobs (flush/seal) leave tree nil and signal done.
+	seal *store.Identity // identity to seal with (nil for plain flush)
 	done chan struct{}
 }
 
@@ -258,17 +258,15 @@ func (s *Store) Flush() {
 	<-done
 }
 
-// Seal flushes and appends a seal record carrying the SHA-256 of the
-// current version's KB fingerprint, making the next boot a verified warm
-// restart. Call it at graceful shutdown, after the session stops
-// publishing.
-func (s *Store) Seal(fingerprint string) {
+// Seal flushes and appends a seal record carrying the current version's
+// content identity, making the next boot a verified warm restart. Call
+// it at graceful shutdown, after the session stops publishing.
+func (s *Store) Seal(id store.Identity) {
 	if s.closed.Load() {
 		return
 	}
-	sum := sha256.Sum256([]byte(fingerprint))
 	done := make(chan struct{})
-	s.jobs <- job{seal: hex.EncodeToString(sum[:]), done: done}
+	s.jobs <- job{seal: &id, done: done}
 	<-done
 }
 
@@ -332,15 +330,15 @@ func (s *Store) writeback() {
 	defer s.wg.Done()
 	for j := range s.jobs {
 		switch {
-		case j.done != nil && j.seal == "" && j.tree == nil:
-			close(j.done) // flush barrier: everything before it is durable
-		case j.seal != "":
-			s.appendRecord(&record{kind: 'S', version: s.version, nextSeq: s.nextSeq,
-				docs: append([]docRef(nil), s.docs...), fpSHA: j.seal})
+		case j.seal != nil:
+			s.appendRecord(&record{kind: 'I', version: s.version, nextSeq: s.nextSeq,
+				docs: append([]docRef(nil), s.docs...), seal: j.seal.Hex()})
 			// A seal marks a clean shutdown: rewrite the pack so the next
 			// boot recovers the whole corpus in one sequential read.
 			s.writePack(s.docs)
 			close(j.done)
+		case j.done != nil:
+			close(j.done) // flush barrier: everything before it is durable
 		default:
 			s.writeVersion(j)
 		}
@@ -567,8 +565,7 @@ func (s *Store) recover() (*Recovered, int64, error) {
 		docs    []docRef
 		version uint64
 		nextSeq uint64
-		sealed  bool
-		fpSHA   string
+		seal    *record // the seal record the replay ended on, if any
 		// verified marks blobs that passed full-content verification;
 		// decoded holds the resident segment the verification pass produced
 		// (claimed by at most one recovered document below).
@@ -613,18 +610,16 @@ replay:
 				docs = kept
 			}
 			docs = append(docs, r.adds...)
-			version, nextSeq, sealed, fpSHA = r.version, r.nextSeq, false, ""
-		case 'C', 'S':
+			version, nextSeq, seal = r.version, r.nextSeq, nil
+		case 'C', 'I', 'S':
 			if !verify(r.docs) {
 				dropped = len(recs) - i
 				break replay
 			}
 			docs = append(docs[:0], r.docs...)
-			version, nextSeq = r.version, r.nextSeq
-			if r.kind == 'S' {
-				sealed, fpSHA = true, r.fpSHA
-			} else {
-				sealed, fpSHA = false, ""
+			version, nextSeq, seal = r.version, r.nextSeq, nil
+			if r.kind != 'C' {
+				seal = r
 			}
 		}
 		end = ends[i]
@@ -633,7 +628,20 @@ replay:
 		s.opt.Logf("persist: dropped %d manifest record(s) referencing missing or corrupt blobs; recovered to version %d", dropped, version)
 	}
 
-	rec.Version, rec.NextSeq, rec.Sealed, rec.FingerprintSHA, rec.Dropped = version, nextSeq, sealed, fpSHA, dropped
+	rec.Version, rec.NextSeq, rec.Dropped = version, nextSeq, dropped
+	switch {
+	case seal != nil && seal.kind == 'S':
+		// A store sealed before the identity scheme: its digest of the
+		// fingerprint text cannot be checked against an identity, so the
+		// state is trusted exactly as far as an unsealed one is.
+		s.opt.Logf("persist: version %d was sealed under the older fingerprint-digest scheme, which cannot be verified; recovering as after an unclean shutdown", version)
+	case seal != nil:
+		if id, err := store.ParseIdentity(seal.seal); err == nil {
+			rec.Sealed, rec.Identity = true, id
+		} else {
+			s.opt.Logf("persist: unreadable seal at version %d (%v); recovering as after an unclean shutdown", version, err)
+		}
+	}
 	for _, d := range docs {
 		// First claimant of a blob gets the segment verification already
 		// decoded; further documents sharing the same content (dedup) get

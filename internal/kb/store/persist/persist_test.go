@@ -132,9 +132,10 @@ func TestPersistRoundTrip(t *testing.T) {
 	m.ingest("d")
 	m.evict("b")
 	m.ingest("e", "f")
-	want := m.tree.Materialize().Fingerprint()
+	wantKB := m.tree.Materialize()
+	want := wantKB.Fingerprint()
 	s.Flush()
-	s.Seal(want)
+	s.Seal(wantKB.Identity())
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +151,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if !rec2.Sealed {
 		t.Fatal("sealed manifest not reported as sealed")
 	}
-	sum := sha256.Sum256([]byte(want))
-	if rec2.FingerprintSHA != hex.EncodeToString(sum[:]) {
-		t.Fatal("seal fingerprint SHA mismatch")
+	if rec2.Identity != store.TextIdentity(want) {
+		t.Fatal("seal identity mismatch")
 	}
 	// Without a memory budget recovery hands back resident segments (it
 	// read and verified every blob anyway); each must still be demotable
@@ -182,6 +182,64 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	if got := replayTree(rec3).Materialize().Fingerprint(); got != want {
 		t.Fatalf("budgeted restore fingerprint differs")
+	}
+}
+
+// TestPersistLegacySealRecoversUnsealed: a manifest sealed under the
+// earlier scheme — an 'S' record carrying the SHA-256 of the fingerprint
+// text — still boots, at its version with all its documents, but as an
+// unsealed recovery with a log line: its digest cannot be checked
+// against an identity.
+func TestPersistLegacySealRecoversUnsealed(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{})
+	m := newSim(t, s, 3)
+	m.ingest("a", "b")
+	m.evict("a")
+	m.ingest("c")
+	want := m.tree.Materialize().Fingerprint()
+	s.Close()
+
+	// Append the seal exactly as the earlier Seal wrote it.
+	s2, rec := mustOpen(t, dir, Options{})
+	refs := make([]docRef, len(rec.Docs))
+	for i, d := range rec.Docs {
+		refs[i] = docRef{Key: d.Key, Seq: d.Seq, Hash: s2.hashOf(d.Seg)}
+	}
+	s2.Close()
+	sum := sha256.Sum256([]byte(want))
+	legacy := encodeRecord(&record{kind: 'S', version: rec.Version, nextSeq: rec.NextSeq,
+		docs: refs, seal: hex.EncodeToString(sum[:])})
+	f, err := os.OpenFile(filepath.Join(dir, "manifest.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs []string
+	s3, rec3, err := Open(dir, Options{Logf: func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatalf("a legacy-sealed store must boot: %v", err)
+	}
+	defer s3.Close()
+	if rec3.Sealed || rec3.Identity != (store.Identity{}) {
+		t.Fatalf("legacy seal reported as a verifiable seal: %+v", rec3)
+	}
+	if rec3.Version != m.version || fmt.Sprint(docKeys(rec3)) != fmt.Sprint(m.docs) {
+		t.Fatalf("recovered v%d %v, want v%d %v", rec3.Version, docKeys(rec3), m.version, m.docs)
+	}
+	if got := replayTree(rec3).Materialize().Fingerprint(); got != want {
+		t.Fatal("legacy-sealed restore fingerprint differs")
+	}
+	if !strings.Contains(strings.Join(logs, "\n"), "older fingerprint-digest scheme") {
+		t.Fatalf("no log line names the legacy seal; logs: %q", logs)
 	}
 }
 
@@ -440,9 +498,10 @@ func TestPersistPackAcceleratesAndSurvivesCorruption(t *testing.T) {
 	m := newSim(t, s, 7)
 	m.ingest("a", "b", "c")
 	m.ingest("d")
-	want := m.tree.Materialize().Fingerprint()
+	wantKB := m.tree.Materialize()
+	want := wantKB.Fingerprint()
 	s.Flush()
-	s.Seal(want)
+	s.Seal(wantKB.Identity())
 	s.Close()
 
 	// A sealed shutdown wrote the pack; recovery must serve every blob

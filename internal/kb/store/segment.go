@@ -338,13 +338,33 @@ func SealSegment(kb *KB, id string) *Segment {
 	sort.Slice(d.sorted, func(a, b int) bool { return d.keys[d.sorted[a]] < d.keys[d.sorted[b]] })
 	d.buildPOS()
 	for _, eid := range kb.order {
-		e := kb.entities[eid]
-		ec := *e
-		ec.Mentions = append([]string(nil), e.Mentions...)
-		ec.Types = append([]string(nil), e.Types...)
-		d.ents = append(d.ents, ec)
+		d.ents = append(d.ents, copyEntity(kb.entities[eid]))
 	}
 	return (&Segment{id: id, docs: 1}).seal(d)
+}
+
+// copyEntity returns a deep copy of an entity record.
+func copyEntity(e *EntityRecord) EntityRecord {
+	cp := *e
+	cp.Mentions = append([]string(nil), e.Mentions...)
+	cp.Types = append([]string(nil), e.Types...)
+	return cp
+}
+
+// unionEntity folds src's mentions and types into dst, keeping
+// first-seen order — how two records of one entity combine when segments
+// merge or runs materialize.
+func unionEntity(dst, src *EntityRecord) {
+	for _, m := range src.Mentions {
+		if !contains(dst.Mentions, m) {
+			dst.Mentions = append(dst.Mentions, m)
+		}
+	}
+	for _, t := range src.Types {
+		if !contains(dst.Types, t) {
+			dst.Types = append(dst.Types, t)
+		}
+	}
 }
 
 // ID returns the segment's cache identity ("" when uncacheable).
@@ -520,34 +540,17 @@ func MergeSegments(a, b *Segment) *Segment {
 	out.ents = make([]EntityRecord, len(ad.ents), len(ad.ents)+len(bd.ents))
 	idx := make(map[string]int, len(ad.ents)+len(bd.ents))
 	for i := range ad.ents {
-		ec := ad.ents[i]
-		ec.Mentions = append([]string(nil), ec.Mentions...)
-		ec.Types = append([]string(nil), ec.Types...)
-		out.ents[i] = ec
-		idx[ec.ID] = i
+		out.ents[i] = copyEntity(&ad.ents[i])
+		idx[ad.ents[i].ID] = i
 	}
 	for i := range bd.ents {
 		be := &bd.ents[i]
-		j, ok := idx[be.ID]
-		if !ok {
-			ec := *be
-			ec.Mentions = append([]string(nil), be.Mentions...)
-			ec.Types = append([]string(nil), be.Types...)
-			idx[be.ID] = len(out.ents)
-			out.ents = append(out.ents, ec)
+		if j, ok := idx[be.ID]; ok {
+			unionEntity(&out.ents[j], be)
 			continue
 		}
-		e := &out.ents[j]
-		for _, m := range be.Mentions {
-			if !contains(e.Mentions, m) {
-				e.Mentions = append(e.Mentions, m)
-			}
-		}
-		for _, t := range be.Types {
-			if !contains(e.Types, t) {
-				e.Types = append(e.Types, t)
-			}
-		}
+		idx[be.ID] = len(out.ents)
+		out.ents = append(out.ents, copyEntity(be))
 	}
 	m := (&Segment{
 		id:        combineSegmentIDs(a.id, b.id),

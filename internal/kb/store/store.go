@@ -7,10 +7,8 @@
 package store
 
 import (
-	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"qkbfly/internal/intern"
@@ -29,13 +27,8 @@ type Value struct {
 // IsEntity reports whether the value references an entity.
 func (v Value) IsEntity() bool { return v.EntityID != "" }
 
-// String implements fmt.Stringer.
-func (v Value) String() string {
-	if v.IsEntity() {
-		return v.EntityID
-	}
-	return fmt.Sprintf("%q", v.Literal)
-}
+// String implements fmt.Stringer: the entity ID, or the quoted literal.
+func (v Value) String() string { return string(appendValueText(nil, v)) }
 
 // Provenance records where a fact was extracted from.
 type Provenance struct {
@@ -58,13 +51,7 @@ type Fact struct {
 func (f *Fact) Arity() int { return 1 + len(f.Objects) }
 
 // String renders the fact in the paper's angle-bracket notation.
-func (f *Fact) String() string {
-	parts := []string{f.Subject.String(), f.Relation}
-	for _, o := range f.Objects {
-		parts = append(parts, o.String())
-	}
-	return "<" + strings.Join(parts, ", ") + ">"
-}
+func (f *Fact) String() string { return string(appendFactText(nil, f)) }
 
 // EntityRecord describes an entity of the on-the-fly KB: either linked to
 // the background repository or emerging (identified by a mention cluster).
@@ -442,23 +429,18 @@ func cloneIndex(idx map[string][]int) map[string][]int {
 // insertion-order-independent string. Two KBs built from the same
 // documents fingerprint identically regardless of how the work was
 // partitioned; tests and benchmarks use it to prove the parallel engine
-// matches the serial path.
+// matches the serial path. Its lines are the ones Identity hashes (see
+// identity.go, which formats both).
 func (kb *KB) Fingerprint() string {
 	lines := make([]string, 0, len(kb.facts)+len(kb.order))
+	var buf []byte
 	for i := range kb.facts {
-		f := &kb.facts[i]
-		lines = append(lines, fmt.Sprintf("f %s conf=%s src=%s:%d",
-			f.String(), strconv.FormatFloat(f.Confidence, 'g', -1, 64),
-			f.Source.DocID, f.Source.SentIndex))
+		buf = appendFactLine(buf[:0], &kb.facts[i])
+		lines = append(lines, string(buf))
 	}
 	for _, id := range kb.order {
-		e := kb.entities[id]
-		mentions := append([]string(nil), e.Mentions...)
-		sort.Strings(mentions)
-		types := append([]string(nil), e.Types...)
-		sort.Strings(types)
-		lines = append(lines, fmt.Sprintf("e %s name=%q emerging=%t mentions=%v types=%v",
-			e.ID, e.Name, e.Emerging, mentions, types))
+		buf = appendEntityLine(buf[:0], kb.entities[id])
+		lines = append(lines, string(buf))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")

@@ -255,23 +255,32 @@ func splitOut(n *treeNode, seq uint64) ([]*treeNode, bool) {
 	return append([]*treeNode{n.left}, repl...), true
 }
 
-// Lookup returns the winning fact stored under a dedup key across the
-// tree's runs — the record the materialized KB would hold — resolved by
-// the same rule as KB.AddFact (higher confidence, then smaller
-// provenance). The pointer aliases immutable segment storage.
+// Lookup returns the fact the materialized KB holds under a dedup key:
+// the oldest run's occurrence supplies the spelling (Subject, Relation,
+// Objects), and Confidence, Source and Pattern come from the winner
+// across runs under the KB.AddFact rule (higher confidence, then smaller
+// provenance). The pointer aliases immutable segment storage when the
+// oldest occurrence also wins, and is a private copy otherwise.
 func (t *Tree) Lookup(key string) (*Fact, bool) {
-	var win *Fact
+	var first, win *Fact
 	for _, r := range t.runs {
 		f, ok := r.seg.Lookup(key)
 		if !ok {
 			continue
 		}
-		if win == nil || f.Confidence > win.Confidence ||
+		if win == nil {
+			first, win = f, f
+		} else if f.Confidence > win.Confidence ||
 			(f.Confidence == win.Confidence && provLess(f.Source, win.Source)) {
 			win = f
 		}
 	}
-	return win, win != nil
+	if win == first {
+		return first, first != nil
+	}
+	cp := *first
+	cp.Confidence, cp.Source, cp.Pattern = win.Confidence, win.Source, win.Pattern
+	return &cp, true
 }
 
 // LookupEntity returns the merged entity record for id across the tree's
@@ -288,21 +297,9 @@ func (t *Tree) LookupEntity(id string) (EntityRecord, bool) {
 				continue
 			}
 			if !found {
-				out = *e
-				out.Mentions = append([]string(nil), e.Mentions...)
-				out.Types = append([]string(nil), e.Types...)
-				found = true
-				break
-			}
-			for _, m := range e.Mentions {
-				if !contains(out.Mentions, m) {
-					out.Mentions = append(out.Mentions, m)
-				}
-			}
-			for _, ty := range e.Types {
-				if !contains(out.Types, ty) {
-					out.Types = append(out.Types, ty)
-				}
+				out, found = copyEntity(e), true
+			} else {
+				unionEntity(&out, e)
 			}
 			break
 		}

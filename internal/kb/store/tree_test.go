@@ -18,7 +18,10 @@ type treeFixture struct {
 
 func (fx *treeFixture) push(rng *rand.Rand) {
 	doc := fmt.Sprintf("doc%03d", fx.next)
-	kb := randShard(rng, doc)
+	fx.pushShard(doc, randShard(rng, doc))
+}
+
+func (fx *treeFixture) pushShard(doc string, kb *KB) {
 	seg := SealSegment(kb, doc)
 	fx.tree = fx.tree.Push(seg, fx.next)
 	fx.seqs = append(fx.seqs, fx.next)

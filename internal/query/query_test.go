@@ -309,7 +309,7 @@ func TestEvalDeltaIncrement(t *testing.T) {
 		}
 		seg := store.SealSegment(kb, "slide")
 		new := old.Push(seg, 99)
-		delta := store.DiffTrees(old, new, []*store.Segment{seg})
+		delta, _ := store.DiffTrees(old, new, []*store.Segment{seg})
 		for q := 0; q < 6; q++ {
 			p := randPattern(rng)
 			inc := rowKeys(EvalDelta(new, p, delta))
@@ -351,7 +351,7 @@ func TestEvalDeltaUpgradeCrossesTau(t *testing.T) {
 	old := store.NewTree(nil).Push(store.SealSegment(low, "d1"), 0)
 	seg := store.SealSegment(hi, "d2")
 	new := old.Push(seg, 1)
-	delta := store.DiffTrees(old, new, []*store.Segment{seg})
+	delta, _ := store.DiffTrees(old, new, []*store.Segment{seg})
 	if len(delta.Upgraded) != 1 {
 		t.Fatalf("delta = %+v, want one upgrade", delta)
 	}

@@ -11,7 +11,7 @@ import (
 // directory (one seeded from the leader's -data-dir: copied blobs plus
 // manifest). It rebuilds the merge tree from the recovered documents,
 // materializes the KB, and — when the manifest was sealed — verifies
-// the result against the sealed fingerprint SHA, refusing a mismatched
+// the result's content identity against the seal, refusing a mismatched
 // base the same way qkbflyd refuses a mismatched warm boot. The
 // returned version is the resume point for Options.Since / Seed, so a
 // follower far behind the leader's retained history replays only the
@@ -20,10 +20,10 @@ import (
 // The directory is opened exclusively for the duration of the call
 // (persist.Store owns its dir); seed followers from a copy, not the
 // leader's live directory.
-func Bootstrap(dir string, logf func(format string, args ...any)) (kb *store.KB, version uint64, sha string, err error) {
+func Bootstrap(dir string, logf func(format string, args ...any)) (kb *store.KB, version uint64, id store.Identity, err error) {
 	st, rec, err := persist.Open(dir, persist.Options{Logf: logf})
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("replica bootstrap: %w", err)
+		return nil, 0, store.Identity{}, fmt.Errorf("replica bootstrap: %w", err)
 	}
 	// Materialize before Close: demoted segments fault their payloads in
 	// through loaders that read the store's blob files.
@@ -35,13 +35,13 @@ func Bootstrap(dir string, logf func(format string, args ...any)) (kb *store.KB,
 	if cerr := st.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("replica bootstrap: closing store: %w", cerr)
 	}
-	sha = FingerprintSHA(kb)
-	if rec.Sealed && rec.FingerprintSHA != "" && sha != rec.FingerprintSHA {
-		return nil, 0, "", fmt.Errorf("replica bootstrap: %s restored v%d with fingerprint sha %s, manifest sealed %s",
-			dir, rec.Version, sha, rec.FingerprintSHA)
+	id = kb.Identity()
+	if rec.Sealed && id != rec.Identity {
+		return nil, 0, store.Identity{}, fmt.Errorf("replica bootstrap: %s restored v%d with identity %s, manifest sealed %s",
+			dir, rec.Version, id.Hex(), rec.Identity.Hex())
 	}
 	if err != nil {
-		return nil, 0, "", err
+		return nil, 0, store.Identity{}, err
 	}
-	return kb, rec.Version, sha, nil
+	return kb, rec.Version, id, nil
 }

@@ -10,7 +10,7 @@ import (
 // records every version it publishes, each replica records every
 // version it verified and served, and Check asserts prefix consistency
 // — every replica's observed sequence is strictly increasing, every
-// observed (version, fingerprint) pair matches the leader's chain
+// observed (version, identity stamp) pair matches the leader's chain
 // exactly, and no replica ever observed a version the leader never
 // published. Under those invariants each replica's state history is a
 // prefix of the leader's version chain (modulo versions skipped by a
@@ -36,9 +36,9 @@ func NewHistoryChecker() *HistoryChecker {
 	}
 }
 
-// RecordLeader records one published leader version and its
-// fingerprint SHA. Re-recording a version with a different fingerprint
-// marks the leader chain itself inconsistent (reported by Check).
+// RecordLeader records one published leader version and its identity
+// stamp. Re-recording a version with a different stamp marks the leader
+// chain itself inconsistent (reported by Check).
 func (h *HistoryChecker) RecordLeader(version uint64, sha string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

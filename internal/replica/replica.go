@@ -24,7 +24,7 @@ import (
 const (
 	CounterRecords       = "replica_records"       // stream records decoded
 	CounterApplies       = "replica_applies"       // deltas applied to a base KB
-	CounterVerifications = "replica_verifications" // fingerprint stamps checked
+	CounterVerifications = "replica_verifications" // identity stamps checked
 	CounterVerified      = "replica_verified"      // stamps that matched (versions published)
 	CounterDuplicates    = "replica_duplicates"    // records at or below the verified version, skipped
 	CounterGaps          = "replica_gaps"          // out-of-order records forcing reconnect-with-resume
@@ -74,14 +74,15 @@ type Options struct {
 	// Counters receives replication accounting. A fresh set is created
 	// when nil (Counters() returns it either way).
 	Counters *stats.CounterSet
-	// OnVerified is invoked after every fingerprint-verified publish —
-	// the history-checker hook (see HistoryChecker.RecordReplica).
+	// OnVerified is invoked after every identity-verified publish, with
+	// the version's hex stamp — the history-checker hook (see
+	// HistoryChecker.RecordReplica).
 	OnVerified func(version uint64, fingerprintSHA string)
 }
 
 // Quarantine is one divergent version the follower refused to serve:
-// the delta applied cleanly but the resulting KB's fingerprint did not
-// match the leader's stamp.
+// the delta applied cleanly but the resulting KB's content identity did
+// not match the leader's stamp.
 type Quarantine struct {
 	Version   uint64 `json:"version"`
 	LeaderSHA string `json:"leader_sha256"`
@@ -112,7 +113,7 @@ type Status struct {
 const maxQuarantineKept = 8
 
 // Follower replicates a leader's version chain. Reads (KB, Status) are
-// safe at any time and always observe the last fingerprint-verified
+// safe at any time and always observe the last identity-verified
 // version — never a partially applied or divergent one.
 type Follower struct {
 	opt      Options
@@ -121,7 +122,7 @@ type Follower struct {
 	mu           sync.Mutex
 	kb           *store.KB
 	version      uint64
-	fpSHA        string
+	id           store.Identity // kb's content identity
 	leaderHead   uint64
 	lastVerified time.Time
 	degraded     bool
@@ -157,26 +158,33 @@ func New(opt Options) *Follower {
 	return f
 }
 
-// Seed installs a verified base state — typically the result of
-// Bootstrap from a persist blob store — so the stream resumes from
-// version instead of replaying or re-baselining. Call before Run.
-func (f *Follower) Seed(kb *store.KB, version uint64, fingerprintSHA string) {
+// Seed installs a verified base state and its content identity —
+// typically the result of Bootstrap from a persist blob store — so the
+// stream resumes from version instead of replaying or re-baselining.
+// Call before Run.
+func (f *Follower) Seed(kb *store.KB, version uint64, id store.Identity) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.kb = kb
 	f.version = version
-	f.fpSHA = fingerprintSHA
+	f.id = id
 	if version > f.leaderHead {
 		f.leaderHead = version
 	}
 	f.lastVerified = time.Now()
 }
 
-// KB returns the last fingerprint-verified KB and its version.
+// KB returns the last identity-verified KB and its version.
 func (f *Follower) KB() (*store.KB, uint64) {
+	kb, version, _ := f.state()
+	return kb, version
+}
+
+// state returns the last verified KB with its version and identity.
+func (f *Follower) state() (*store.KB, uint64, store.Identity) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.kb, f.version
+	return f.kb, f.version, f.id
 }
 
 // Counters returns the follower's counter set (shared with Options
@@ -191,7 +199,7 @@ func (f *Follower) Status() Status {
 		Role:           "follower",
 		Leader:         f.opt.Leader,
 		Version:        f.version,
-		FingerprintSHA: f.fpSHA,
+		FingerprintSHA: f.id.Hex(),
 		LeaderHead:     f.leaderHead,
 		Degraded:       f.degraded,
 		Counters:       f.counters.Snapshot(),
@@ -287,7 +295,7 @@ func (f *Follower) dial(ctx context.Context, since uint64, snapshot bool) (io.Re
 var errTruncated = errors.New("stream truncated mid-record")
 
 // consume drains one stream, applying and verifying each record. It
-// returns resync=true when a fingerprint mismatch demands the next dial
+// returns resync=true when an identity mismatch demands the next dial
 // fetch a full snapshot. A nil error means the leader closed the stream
 // cleanly (drain, or this subscriber lagged and was dropped) — the
 // caller reconnects either way.
@@ -345,61 +353,58 @@ func (f *Follower) applyRecord(rec *Record) (resync bool, err error) {
 	if rec.Delta == nil {
 		return false, fmt.Errorf("record v%d carries no delta", rec.Version)
 	}
-	base, baseVer := f.KB()
-	if rec.Reset {
-		// Re-baseline: the delta is the full diff from empty, valid
-		// regardless of local state — this is how a quarantined or
-		// horizon-lapsed follower recovers.
-		if rec.Version <= baseVer {
-			// At or below the verified version: local state at baseVer is
-			// already fingerprint-verified, so an equal-version snapshot is
-			// content-identical — re-publishing it would duplicate the
-			// observation in the replica's version history.
-			f.counters.Add(CounterDuplicates, 1)
-			return false, nil
-		}
-		next := rec.Delta.Apply(store.New())
-		f.counters.Add(CounterApplies, 1)
-		sha := FingerprintSHA(next)
-		f.counters.Add(CounterVerifications, 1)
-		if sha != rec.FingerprintSHA {
-			// A divergent snapshot means the wire is corrupting records;
-			// quarantine and retry the snapshot.
-			f.quarantine(rec, sha)
-			return true, fmt.Errorf("snapshot v%d fingerprint mismatch", rec.Version)
-		}
-		f.counters.Add(CounterResets, 1)
-		f.publish(next, rec.Version, sha)
-		return false, nil
-	}
+	base, baseVer, baseID := f.state()
 	if rec.Version <= baseVer {
+		// At or below the verified version — a duplicate delta, or an
+		// equal-version snapshot, which is content-identical to the
+		// verified local state: re-publishing it would duplicate the
+		// observation in the replica's version history.
 		f.counters.Add(CounterDuplicates, 1)
 		return false, nil
 	}
-	if rec.Version != baseVer+1 {
-		// Out-of-order delivery: a delta only composes onto exactly the
-		// version it was diffed against. Resume from the verified version.
-		f.counters.Add(CounterGaps, 1)
-		return false, fmt.Errorf("gap: got v%d, have v%d", rec.Version, baseVer)
+	var next *store.KB
+	var id store.Identity
+	if rec.Reset {
+		// Re-baseline: the delta is the full diff from empty, valid
+		// regardless of local state — this is how a quarantined or
+		// horizon-lapsed follower recovers. Its identity is computed from
+		// scratch.
+		next = rec.Delta.Apply(store.New())
+		id = next.Identity()
+	} else {
+		if rec.Version != baseVer+1 {
+			// Out-of-order delivery: a delta only composes onto exactly the
+			// version it was diffed against. Resume from the verified
+			// version.
+			f.counters.Add(CounterGaps, 1)
+			return false, fmt.Errorf("gap: got v%d, have v%d", rec.Version, baseVer)
+		}
+		// Verification follows the delta, not the KB: the identity folds
+		// over the keys and entity IDs the delta names.
+		next = rec.Delta.Apply(base)
+		id = rec.Delta.FoldIdentity(base, next, baseID)
 	}
-	next := rec.Delta.Apply(base)
 	f.counters.Add(CounterApplies, 1)
-	sha := FingerprintSHA(next)
 	f.counters.Add(CounterVerifications, 1)
-	if sha != rec.FingerprintSHA {
+	if sha := id.Hex(); sha != rec.FingerprintSHA {
+		// A divergent version means the wire is corrupting records:
+		// quarantine it and re-baseline from a snapshot.
 		f.quarantine(rec, sha)
-		return true, fmt.Errorf("v%d fingerprint mismatch after apply", rec.Version)
+		return true, fmt.Errorf("v%d identity mismatch after apply", rec.Version)
 	}
-	f.publish(next, rec.Version, sha)
+	if rec.Reset {
+		f.counters.Add(CounterResets, 1)
+	}
+	f.publish(next, rec.Version, id)
 	return false, nil
 }
 
-// publish installs a fingerprint-verified version as the served state.
-func (f *Follower) publish(kb *store.KB, version uint64, sha string) {
+// publish installs an identity-verified version as the served state.
+func (f *Follower) publish(kb *store.KB, version uint64, id store.Identity) {
 	f.mu.Lock()
 	f.kb = kb
 	f.version = version
-	f.fpSHA = sha
+	f.id = id
 	f.lastVerified = time.Now()
 	f.degraded = false
 	if version > f.leaderHead {
@@ -408,7 +413,7 @@ func (f *Follower) publish(kb *store.KB, version uint64, sha string) {
 	f.mu.Unlock()
 	f.counters.Add(CounterVerified, 1)
 	if f.opt.OnVerified != nil {
-		f.opt.OnVerified(version, sha)
+		f.opt.OnVerified(version, id.Hex())
 	}
 }
 

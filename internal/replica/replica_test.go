@@ -2,15 +2,18 @@ package replica_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,6 +44,18 @@ func (stubBuilder) BuildShardsContext(ctx context.Context, docs []*nlp.Document,
 	for i, d := range docs {
 		kb := store.New()
 		kb.AddEntity(store.EntityRecord{ID: "E_" + d.ID, Name: d.ID, Mentions: []string{d.ID}, Types: []string{"DOC"}})
+		// Every document also mentions one shared entity and restates one
+		// shared fact, at a confidence that rises with the ID's number, so
+		// consecutive versions change an entity record and upgrade a fact.
+		kb.AddEntity(store.EntityRecord{ID: "E_shared", Name: "shared", Mentions: []string{d.ID}, Types: []string{"DOC"}})
+		n, _ := strconv.Atoi(strings.TrimLeft(d.ID, "abcdefghijklmnopqrstuvwxyz"))
+		kb.AddFact(store.Fact{
+			Subject:    store.Value{EntityID: "E_shared"},
+			Relation:   "seen_in",
+			Objects:    []store.Value{{Literal: "stream"}},
+			Confidence: 0.1 + float64(n%80)/100,
+			Source:     store.Provenance{DocID: d.ID},
+		})
 		for j := 0; j < 3; j++ {
 			kb.AddFact(store.Fact{
 				Subject:    store.Value{EntityID: "E_" + d.ID},
@@ -180,11 +195,13 @@ func (ft *faultyTransport) dial(ctx context.Context, rawURL string) (io.ReadClos
 	return pr, nil
 }
 
-// corruptingTransport flips one fact inside the first applicable delta
-// record — valid JSON, valid version, the leader's fingerprint stamp
-// intact — so only fingerprint verification can catch it.
+// corruptingTransport rewrites the first delta record corrupt applies
+// to (corrupt reports whether it changed anything) — valid JSON, valid
+// version, the leader's identity stamp intact — so only identity
+// verification can catch it.
 type corruptingTransport struct {
 	base      replica.DialFunc
+	corrupt   func(d *store.Delta) bool
 	corrupted atomic.Bool
 }
 
@@ -203,8 +220,7 @@ func (ct *corruptingTransport) dial(ctx context.Context, rawURL string) (io.Read
 				out := line
 				var rec replica.Record
 				if !ct.corrupted.Load() && json.Unmarshal(line, &rec) == nil &&
-					!rec.Reset && rec.Delta != nil && len(rec.Delta.Added) > 0 {
-					rec.Delta.Added[0].Objects = []store.Value{{Literal: "silently corrupted in transit"}}
+					!rec.Reset && rec.Delta != nil && ct.corrupt(rec.Delta) {
 					if b, merr := json.Marshal(&rec); merr == nil {
 						out = append(b, '\n')
 						ct.corrupted.Store(true)
@@ -318,7 +334,9 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 		pDrop: 0.08, pDup: 0.08, pReorder: 0.06, pDelay: 0.08, pTrunc: 0.05,
 	}
 	newF := func(name string) *replica.Follower {
-		return replica.New(replica.Options{
+		var f *replica.Follower
+		observe := checker.Observer(name)
+		f = replica.New(replica.Options{
 			Leader:      ts.URL,
 			Dial:        ft.dial,
 			BackoffBase: 2 * time.Millisecond,
@@ -327,8 +345,17 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 			// tail of an idle stream, so it bounds each such stall.
 			ReadTimeout: 250 * time.Millisecond,
 			Logf:        discardLogf,
-			OnVerified:  checker.Observer(name),
+			// The follower verified this version by folding the identity
+			// over its delta; re-derive it from the whole KB.
+			OnVerified: func(v uint64, sha string) {
+				if kb, kv := f.KB(); kv != v || replica.FingerprintSHA(kb) != sha {
+					t.Errorf("%s: v%d verified as %.12s…, but its KB (v%d) hashes to %.12s…",
+						name, v, sha, kv, replica.FingerprintSHA(kb))
+				}
+				observe(v, sha)
+			},
 		})
+		return f
 	}
 	cold := startFollower(newF("cold-gen1"))
 	warm := startFollower(newF("warm-gen1"))
@@ -362,11 +389,10 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 			// blob-store bootstrap would, and resume from that version.
 			warm.stop()
 			kb, ver := warm.f.KB()
-			sha := warm.f.Status().FingerprintSHA
 			warmGen++
 			nf := newF(fmt.Sprintf("warm-gen%d", warmGen))
 			if ver > 0 {
-				nf.Seed(kb, ver, sha)
+				nf.Seed(kb, ver, kb.Identity())
 			}
 			warm = startFollower(nf)
 		}
@@ -394,58 +420,150 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 }
 
 // TestFollowerQuarantinesCorruptDelta injects a bit-flipped (but
-// JSON-valid, correctly versioned, leader-stamped) delta: fingerprint
-// verification must catch it, quarantine the version without ever
-// serving it, resync from a leader snapshot, and converge; the history
-// checker confirms the corrupt state never entered any served history.
+// JSON-valid, correctly versioned, leader-stamped) delta — in an added
+// fact, an upgraded confidence, a removed record and a changed entity
+// record: identity verification must catch each, quarantine the version
+// without ever serving it, resync from a leader snapshot, and converge;
+// the history checker confirms the corrupt state never entered any
+// served history.
 func TestFollowerQuarantinesCorruptDelta(t *testing.T) {
-	sess, ts := newLeader(t, qkbfly.SessionOptions{HistoryLimit: 64})
-	ctx := context.Background()
-	checker := replica.NewHistoryChecker()
-	for i := 0; i < 4; i++ {
-		snap, _, err := sess.Ingest(ctx, []*nlp.Document{doc(fmt.Sprintf("c%02d", i))})
-		if err != nil {
-			t.Fatalf("ingest %d: %v", i, err)
-		}
-		checker.RecordLeader(snap.Version(), sess.FingerprintSHA(snap))
+	flip := func(s string) string { // one bit of the last byte
+		b := []byte(s)
+		b[len(b)-1] ^= 0x04
+		return string(b)
 	}
-	ct := &corruptingTransport{base: httpDial(ts.Client())}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(d *store.Delta) bool
+	}{
+		{"added object", func(d *store.Delta) bool {
+			if len(d.Added) == 0 {
+				return false
+			}
+			d.Added[0].Objects = []store.Value{{Literal: "silently corrupted in transit"}}
+			return true
+		}},
+		{"upgraded confidence", func(d *store.Delta) bool {
+			if len(d.Upgraded) == 0 {
+				return false
+			}
+			d.Upgraded[0].Confidence = math.Float64frombits(math.Float64bits(d.Upgraded[0].Confidence) ^ 1)
+			return true
+		}},
+		{"removed record", func(d *store.Delta) bool {
+			if len(d.Removed) == 0 {
+				return false
+			}
+			d.Removed[0].Relation = flip(d.Removed[0].Relation)
+			return true
+		}},
+		{"changed entity", func(d *store.Delta) bool {
+			if len(d.ChangedEntities) == 0 {
+				return false
+			}
+			d.ChangedEntities[0].Name = flip(d.ChangedEntities[0].Name)
+			return true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A two-document window: from v3 on every version evicts.
+			sess, ts := newLeader(t, qkbfly.SessionOptions{HistoryLimit: 64, MaxDocuments: 2})
+			ctx := context.Background()
+			checker := replica.NewHistoryChecker()
+			for i := 0; i < 4; i++ {
+				snap, _, err := sess.Ingest(ctx, []*nlp.Document{doc(fmt.Sprintf("c%02d", i))})
+				if err != nil {
+					t.Fatalf("ingest %d: %v", i, err)
+				}
+				checker.RecordLeader(snap.Version(), sess.FingerprintSHA(snap))
+			}
+			ct := &corruptingTransport{base: httpDial(ts.Client()), corrupt: tc.corrupt}
+			f := replica.New(replica.Options{
+				Leader:      ts.URL,
+				Dial:        ct.dial,
+				BackoffBase: 2 * time.Millisecond,
+				BackoffMax:  20 * time.Millisecond,
+				Logf:        discardLogf,
+				OnVerified:  checker.Observer("f"),
+			})
+			rf := startFollower(f)
+			defer rf.stop()
+
+			head := sess.Snapshot()
+			waitConverged(t, rf, head.Version(), sess.FingerprintSHA(head), 15*time.Second)
+			rf.stop()
+
+			if !ct.corrupted.Load() {
+				t.Fatal("transport never injected the corrupt record")
+			}
+			c := f.Counters()
+			if c.Get(replica.CounterQuarantines) < 1 {
+				t.Errorf("corrupt delta was not quarantined (quarantines=0); counters %v", c.Snapshot())
+			}
+			if c.Get(replica.CounterResyncs) < 1 {
+				t.Errorf("no snapshot resync after quarantine; counters %v", c.Snapshot())
+			}
+			st := f.Status()
+			if len(st.Quarantined) == 0 {
+				t.Error("Status.Quarantined is empty")
+			} else {
+				q := st.Quarantined[0]
+				if q.LeaderSHA == q.LocalSHA {
+					t.Errorf("quarantine recorded identical SHAs: %+v", q)
+				}
+			}
+			if err := checker.Check(); err != nil {
+				t.Fatalf("history checker: %v", err)
+			}
+		})
+	}
+}
+
+// TestIdentityFollowerAcceptsAddedExistingKey: a delta whose Added fact
+// names a key the follower's base already holds (Apply folds it in under
+// the winner rule) verifies against the identity of the applied result,
+// with no quarantine — the follower folds its identity by key, not by
+// delta section.
+func TestIdentityFollowerAcceptsAddedExistingKey(t *testing.T) {
+	fact := func(conf float64, doc string) store.Fact {
+		return store.Fact{Subject: store.Value{EntityID: "E"}, Relation: "be", Objects: []store.Value{{Literal: "thing"}},
+			Confidence: conf, Source: store.Provenance{DocID: doc}}
+	}
+	v1 := store.New()
+	v1.AddEntity(store.EntityRecord{ID: "E", Name: "E", Mentions: []string{"E"}})
+	v1.AddFact(fact(0.4, "d1"))
+	d1 := store.Diff(store.New(), v1)
+	d2 := store.Delta{Added: []store.Fact{fact(0.8, "d2")}}
+	v2 := d2.Apply(v1)
+	var stream bytes.Buffer
+	for _, rec := range []replica.Record{
+		{Version: 1, FingerprintSHA: replica.FingerprintSHA(v1), Delta: &d1},
+		{Version: 2, FingerprintSHA: replica.FingerprintSHA(v2), Delta: &d2},
+	} {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream.Write(append(b, '\n'))
+	}
 	f := replica.New(replica.Options{
-		Leader:      ts.URL,
-		Dial:        ct.dial,
+		Leader: "http://leader.invalid:0",
+		Dial: func(context.Context, string) (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(stream.Bytes())), nil
+		},
 		BackoffBase: 2 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 		Logf:        discardLogf,
-		OnVerified:  checker.Observer("f"),
 	})
 	rf := startFollower(f)
 	defer rf.stop()
-
-	head := sess.Snapshot()
-	waitConverged(t, rf, head.Version(), sess.FingerprintSHA(head), 15*time.Second)
+	waitConverged(t, rf, 2, replica.FingerprintSHA(v2), 15*time.Second)
 	rf.stop()
-
-	if !ct.corrupted.Load() {
-		t.Fatal("transport never injected the corrupt record")
+	if n := f.Counters().Get(replica.CounterQuarantines); n != 0 {
+		t.Fatalf("%d quarantines; counters %v", n, f.Counters().Snapshot())
 	}
-	c := f.Counters()
-	if c.Get(replica.CounterQuarantines) < 1 {
-		t.Errorf("corrupt delta was not quarantined (quarantines=0); counters %v", c.Snapshot())
-	}
-	if c.Get(replica.CounterResyncs) < 1 {
-		t.Errorf("no snapshot resync after quarantine; counters %v", c.Snapshot())
-	}
-	st := f.Status()
-	if len(st.Quarantined) == 0 {
-		t.Error("Status.Quarantined is empty")
-	} else {
-		q := st.Quarantined[0]
-		if q.LeaderSHA == q.LocalSHA {
-			t.Errorf("quarantine recorded identical SHAs: %+v", q)
-		}
-	}
-	if err := checker.Check(); err != nil {
-		t.Fatalf("history checker: %v", err)
+	if kb, _ := f.KB(); kb.Fingerprint() != v2.Fingerprint() {
+		t.Fatal("follower KB differs from the applied delta's result")
 	}
 }
 
@@ -474,7 +592,7 @@ func TestFollowerBootstrapFromBlobStore(t *testing.T) {
 	leaderVer := sess.Snapshot().Version()
 	sess.Close()
 	pstore.Flush()
-	pstore.Seal(leaderFP)
+	pstore.Seal(sess.Snapshot().Identity())
 	if err := pstore.Close(); err != nil {
 		t.Fatalf("close leader store: %v", err)
 	}
@@ -484,15 +602,15 @@ func TestFollowerBootstrapFromBlobStore(t *testing.T) {
 	if err := os.CopyFS(followerDir, os.DirFS(leaderDir)); err != nil {
 		t.Fatalf("copy blob store: %v", err)
 	}
-	kb, ver, sha, err := replica.Bootstrap(followerDir, discardLogf)
+	kb, ver, id, err := replica.Bootstrap(followerDir, discardLogf)
 	if err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 	if ver != leaderVer {
 		t.Fatalf("bootstrapped v%d, want v%d", ver, leaderVer)
 	}
-	if want := qkbfly.FingerprintSHAHex(leaderFP); sha != want {
-		t.Fatalf("bootstrap sha %s, want %s", sha, want)
+	if want := qkbfly.FingerprintSHAHex(leaderFP); id.Hex() != want {
+		t.Fatalf("bootstrap identity %s, want %s", id.Hex(), want)
 	}
 
 	// Warm-boot the leader from its own store and publish more versions.
@@ -522,7 +640,7 @@ func TestFollowerBootstrapFromBlobStore(t *testing.T) {
 		Logf:        discardLogf,
 		OnVerified:  checker.Observer("f"),
 	})
-	f.Seed(kb, ver, sha)
+	f.Seed(kb, ver, id)
 	rf := startFollower(f)
 	defer rf.stop()
 

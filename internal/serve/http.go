@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
+	"unicode"
 
 	"qkbfly"
 	"qkbfly/internal/kb/store"
@@ -49,7 +51,7 @@ type HandlerOptions struct {
 	// those endpoints return 503.
 	Session *qkbfly.Session
 	// Replica, on a following daemon (-follow), serves reads — /facts,
-	// /query, /session — from the follower's last fingerprint-verified
+	// /query, /session — from the follower's last identity-verified
 	// KB instead of a Session, and surfaces role/lag through /healthz
 	// and /stats. Mutually exclusive with Session.
 	Replica *replica.Follower
@@ -68,7 +70,7 @@ type HandlerOptions struct {
 //	POST /evict                       {"doc_ids":["..."]}
 //	GET  /facts?since=&tau=&follow=   NDJSON stream of added facts
 //	GET  /deltas?since=&follow=&snapshot=  replication stream: one
-//	                                  fingerprint-stamped store.Delta per version
+//	                                  identity-stamped store.Delta per version
 //	GET  /session                     live-session version + document window
 //	GET  /analytics?follow=           incremental aggregates (cached JSON);
 //	                                  follow= streams per-version analytic deltas
@@ -78,7 +80,7 @@ type HandlerOptions struct {
 // Every build runs under the request context, so a disconnecting client
 // cancels its in-flight construction. The session endpoints serve the
 // live-updating KB of HandlerOptions.Session; on a follower
-// (HandlerOptions.Replica) reads come from the last fingerprint-verified
+// (HandlerOptions.Replica) reads come from the last identity-verified
 // replicated version, and ?min_version=N pins read-your-writes (412 when
 // the replica is still behind N).
 func NewHandler(s *Server, opt HandlerOptions) http.Handler {
@@ -323,6 +325,14 @@ func handleIngest(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("doc %d: id and text are required", i), http.StatusBadRequest)
 			return
 		}
+		// The document ID is the one unquoted free text in a KB
+		// fingerprint line (a fact's src=<id>:<sentence>): a newline in it
+		// would split the line, and the text's identity would no longer
+		// match the one folded record by record.
+		if strings.IndexFunc(d.ID, unicode.IsControl) >= 0 {
+			http.Error(w, fmt.Sprintf("doc %d: id must not contain control characters", i), http.StatusBadRequest)
+			return
+		}
 		src := d.Source
 		if src == "" {
 			src = "news"
@@ -347,7 +357,7 @@ func handleIngest(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 		Ingested:  ingested,
 		Skipped:   len(docs) - ingested,
 		Docs:      len(opt.Session.Docs()),
-		Facts:     snap.KB().Len(),
+		Facts:     snap.FactCount(),
 		ElapsedNS: int64(bs.Elapsed),
 	})
 }
@@ -379,7 +389,7 @@ func handleEvict(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.R
 		"version": snap.Version(),
 		"removed": removed,
 		"docs":    len(opt.Session.Docs()),
-		"facts":   snap.KB().Len(),
+		"facts":   snap.FactCount(),
 	})
 }
 
@@ -399,8 +409,8 @@ func handleSession(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
 		"version":  snap.Version(),
 		"docs":     opt.Session.Docs(),
-		"facts":    snap.KB().Len(),
-		"entities": len(snap.KB().Entities()),
+		"facts":    snap.FactCount(),
+		"entities": snap.EntityCount(),
 	}
 	if r.URL.Query().Get("fingerprint") != "" {
 		resp["fingerprint"] = snap.Fingerprint()

@@ -13,8 +13,8 @@ import (
 // projection at all: an NDJSON stream of replica.Record, one per
 // published session version after since, each carrying the full
 // key-based store.Delta (fact additions, upgrades, removals, entity
-// changes) stamped with the hex SHA-256 of that version's KB
-// fingerprint.
+// changes) stamped with the hex content identity of that version's KB
+// (Snapshot.Identity — carried by the version, not computed per stream).
 //
 // When since predates the retained history horizon, or the subscriber
 // demands snapshot=1 (a follower recovering from a quarantined

@@ -262,7 +262,7 @@ func newFollowerTestServer(t *testing.T, version uint64, docIDs ...string) (*htt
 		kb = d.Apply(kb)
 	}
 	f := replica.New(replica.Options{Leader: "http://leader.invalid:0"})
-	f.Seed(kb, version, replica.FingerprintSHA(kb))
+	f.Seed(kb, version, kb.Identity())
 	h := serve.NewHandler(serve.New(nil, serve.Options{}), serve.HandlerOptions{Replica: f})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)

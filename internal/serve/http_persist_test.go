@@ -2,14 +2,13 @@ package serve_test
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net"
 	"net/http"
 	"testing"
 
 	"qkbfly"
+	"qkbfly/internal/kb/store"
 	"qkbfly/internal/kb/store/persist"
 	"qkbfly/internal/serve"
 )
@@ -64,7 +63,7 @@ func TestServeHTTPShutdownFlushesDurableState(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	p.Flush()
-	p.Seal(want)
+	p.Seal(sess.Snapshot().Identity())
 	if err := p.Close(); err != nil {
 		t.Fatalf("close persist: %v", err)
 	}
@@ -81,9 +80,8 @@ func TestServeHTTPShutdownFlushesDurableState(t *testing.T) {
 	if rec2.Version != wantVersion {
 		t.Fatalf("recovered version %d, want %d", rec2.Version, wantVersion)
 	}
-	sum := sha256.Sum256([]byte(want))
-	if hex.EncodeToString(sum[:]) != rec2.FingerprintSHA {
-		t.Fatal("sealed fingerprint SHA does not match the pre-shutdown KB")
+	if rec2.Identity != store.TextIdentity(want) {
+		t.Fatal("sealed identity does not match the pre-shutdown KB")
 	}
 	st := qkbfly.SessionState{Version: rec2.Version, NextSeq: rec2.NextSeq}
 	for _, d := range rec2.Docs {

@@ -16,7 +16,7 @@ import (
 // Follower read path: when a daemon runs with -follow, HandlerOptions
 // .Replica replaces the Session as the source of truth for /facts,
 // /query and /session. Reads always come from the follower's last
-// fingerprint-verified KB — never a partially applied version — and
+// identity-verified KB — never a partially applied version — and
 // clients that need read-your-writes after posting to the leader pin
 // ?min_version=N: a replica still behind N answers 412 Precondition
 // Failed instead of silently serving stale data, and the client retries

@@ -45,7 +45,7 @@ func postJSON(t *testing.T, url, body string) (*http.Response, string) {
 // to end: ingest two documents, replay them over /facts?since=, ingest a
 // duplicate (no-op), evict, and verify versions and NDJSON framing.
 func TestServeHTTPIngestAndFacts(t *testing.T) {
-	ts, _ := newSessionTestServer(t)
+	ts, sess := newSessionTestServer(t)
 
 	// Ingest two documents.
 	resp, body := postJSON(t, ts.URL+"/ingest",
@@ -91,13 +91,15 @@ func TestServeHTTPIngestAndFacts(t *testing.T) {
 		t.Fatalf("/session: %v %d", err, resp.StatusCode)
 	}
 	var sessInfo struct {
-		Version uint64   `json:"version"`
-		Docs    []string `json:"docs"`
-		Facts   int      `json:"facts"`
+		Version  uint64   `json:"version"`
+		Docs     []string `json:"docs"`
+		Facts    int      `json:"facts"`
+		Entities int      `json:"entities"`
 	}
 	decodeJSON(t, resp.Body, &sessInfo)
 	resp.Body.Close()
-	if sessInfo.Version != 1 || len(sessInfo.Docs) != 2 || sessInfo.Facts != 2 {
+	if sessInfo.Version != 1 || len(sessInfo.Docs) != 2 || sessInfo.Facts != 2 ||
+		sessInfo.Entities != len(sess.Snapshot().KB().Entities()) {
 		t.Fatalf("/session: %+v", sessInfo)
 	}
 
@@ -145,9 +147,10 @@ func TestServeHTTPIngestAndFacts(t *testing.T) {
 		Version uint64 `json:"version"`
 		Removed int    `json:"removed"`
 		Docs    int    `json:"docs"`
+		Facts   int    `json:"facts"`
 	}
 	decodeJSON(t, strings.NewReader(body), &ev)
-	if ev.Version != 2 || ev.Removed != 1 || ev.Docs != 1 {
+	if ev.Version != 2 || ev.Removed != 1 || ev.Docs != 1 || ev.Facts != 1 {
 		t.Fatalf("/evict response: %+v", ev)
 	}
 	resp, err = http.Get(ts.URL + "/facts?since=1")
@@ -161,6 +164,33 @@ func TestServeHTTPIngestAndFacts(t *testing.T) {
 		t.Errorf("eviction emitted %d fact lines", len(lines))
 	}
 	resp.Body.Close()
+}
+
+// TestIdentityIngestRejectsControlCharacterIDs: a document ID lands
+// unquoted in fingerprint lines (src=<id>:<sentence>), so /ingest
+// refuses one holding a newline or any other control character with 400
+// and publishes nothing; other unicode is fine.
+func TestIdentityIngestRejectsControlCharacterIDs(t *testing.T) {
+	ts, sess := newSessionTestServer(t)
+	for _, id := range []string{"line\nbreak", "tab\there", "nul\u0000", "bell\u0007", "del\u007f", "c1\u0085"} {
+		body, err := json.Marshal(map[string]any{"docs": []map[string]string{{"id": id, "text": "x"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, msg := postJSON(t, ts.URL+"/ingest", string(body)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/ingest id %q: %d %s, want 400", id, resp.StatusCode, msg)
+		}
+	}
+	if v := sess.Version(); v != 0 {
+		t.Fatalf("rejected ingests published version %d", v)
+	}
+	if resp, msg := postJSON(t, ts.URL+"/ingest", `{"docs":[{"id":"ünïcode id ✓","text":"x"}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/ingest with a printable unicode id: %d %s", resp.StatusCode, msg)
+	}
+	snap := sess.Snapshot()
+	if qkbfly.FingerprintSHAHex(snap.Fingerprint()) != sess.FingerprintSHA(snap) {
+		t.Fatal("text and folded identities disagree for an accepted id")
+	}
 }
 
 // TestServeHTTPEvictInvalidatesShards: re-ingesting a document ID with

@@ -5,8 +5,7 @@
 // A Server wraps a qkbfly.System behind three reuse mechanisms:
 //
 //   - a query cache: finished KBs keyed by normalized query + build
-//     options, with LRU capacity and TTL eviction, each entry stamped
-//     with its KB.Fingerprint();
+//     options, with LRU capacity and TTL eviction;
 //   - a singleflight group: concurrent identical queries collapse onto
 //     one engine run and share its result;
 //   - a shard cache: the engine's per-document shards are deterministic,
@@ -97,7 +96,7 @@ const (
 	// subscriptions ever served (a non-zero value marks the process a
 	// leader in /healthz); CounterDeltaStreamsActive is the live-stream
 	// gauge (+1/-1 around each follow=1 response); CounterDeltaRecords
-	// the fingerprint-stamped records shipped.
+	// the identity-stamped records shipped.
 	CounterDeltaStreams       = "delta_streams"
 	CounterDeltaStreamsActive = "delta_streams_active"
 	CounterDeltaRecords       = "delta_records"
@@ -155,10 +154,9 @@ type Result struct {
 
 // queryEntry is one finished KB in the query cache.
 type queryEntry struct {
-	kb          *store.KB
-	docs        []*nlp.Document
-	bs          *qkbfly.BuildStats
-	fingerprint string // KB.Fingerprint() at insertion, for identity checks
+	kb   *store.KB
+	docs []*nlp.Document
+	bs   *qkbfly.BuildStats
 }
 
 // Server is the long-lived serving layer. It is safe for concurrent use.
@@ -306,7 +304,7 @@ func (s *Server) KB(ctx context.Context, query, source string, size int, opts ..
 		if err == nil {
 			// The cached entry keeps its own copy of the accounting so a
 			// caller mutating res.Stats cannot corrupt later hits.
-			s.queries.put(key, &queryEntry{kb: kb, docs: docs, bs: copyStats(bs), fingerprint: kb.Fingerprint()})
+			s.queries.put(key, &queryEntry{kb: kb, docs: docs, bs: copyStats(bs)})
 		}
 		return &flightResult[*Result]{res: res, err: err}
 	})

@@ -4,7 +4,7 @@
 // snapshot-isolated deferred tail compaction that only ever reads the
 // immutable snapshot, never the live tree. Results flow back through
 // the same single-version publish discipline as ingestion: a compacted
-// tree is adopted only after a fingerprint-identity check against its
+// tree is adopted only after a content-identity check against its
 // uncompacted source, and only while that source is still the current
 // version.
 package qkbfly
@@ -105,10 +105,10 @@ func (m *Maintainer) compact(ctx context.Context, snap *Snapshot) error {
 	}
 	// Identity check against the uncompacted source: segment merging is
 	// associative in content and layout, so any divergence here means a
-	// broken merge function — refuse to publish it. Materializing the
-	// compacted KB is background work, and exactly the partial merges a
-	// caching merge function will reuse.
-	if compacted.Materialize().Fingerprint() != snap.Fingerprint() {
+	// broken merge function — refuse to publish it. The compacted tree's
+	// identity and counts stream from its runs (no KB is materialized);
+	// the snapshot's were folded from its deltas as it was published.
+	if contentOf(compacted) != snap.content {
 		m.count(CounterMaintVerifyFails, 1)
 		return fmt.Errorf("qkbfly: maintenance: compacted tree diverges from snapshot at version %d", snap.version)
 	}

@@ -114,7 +114,7 @@ type SessionOptions struct {
 	// off the ingest path: Ingest appends loose leaf runs (pure pointer
 	// work under the lock) and a background Maintainer compacts immutable
 	// snapshots, publishing the compacted layout back through
-	// adoptCompacted with a fingerprint-identity check. Reads work
+	// adoptCompacted with a content-identity check. Reads work
 	// unchanged on loose trees; their per-run constant grows with the
 	// compaction debt, bounded by compactionDebt.
 	DeferCompaction bool
@@ -138,20 +138,40 @@ type FactEvent struct {
 // merge tree of immutable segments sharing structure with neighboring
 // versions. It is safe to query concurrently with ongoing ingestion, for
 // as long as the caller likes. The flat KB view is materialized lazily
-// on first use and cached, so holding (or fingerprinting) snapshots of
-// versions nobody queries costs no merge work.
+// on first use and cached, so holding snapshots of versions nobody
+// queries costs no merge work; the version's counts and content
+// identity are carried, never recomputed from the KB.
 type Snapshot struct {
 	tree    *store.Tree
 	version uint64
-	stamp   *shaStamp // the version's fingerprint SHA, shared with its history entry
+	content content
 	kbOnce  sync.Once
 	kb      *store.KB
 	fpOnce  sync.Once
 	fp      string
 }
 
-func newSnapshot(tree *store.Tree, version uint64) *Snapshot {
-	return &Snapshot{tree: tree, version: version, stamp: new(shaStamp)}
+// content is what a version holds, known without materializing it: its
+// fact and entity counts and its store.Identity. Each published version
+// folds it from its predecessor's and its own delta.
+type content struct {
+	facts, entities int
+	id              store.Identity
+}
+
+// next is the content after a delta whose identity change is did.
+func (c content) next(d *store.Delta, did store.Identity) content {
+	return content{
+		facts:    c.facts + len(d.Added) - len(d.Removed),
+		entities: c.entities + len(d.AddedEntities) - len(d.RemovedEntities),
+		id:       c.id.Add(did),
+	}
+}
+
+// contentOf computes a tree's content from scratch (see store.Tree.Identity).
+func contentOf(t *store.Tree) content {
+	id, facts, entities := t.Identity()
+	return content{facts: facts, entities: entities, id: id}
 }
 
 // KB returns the snapshot's knowledge base (read-only by convention; it
@@ -169,31 +189,42 @@ func (s *Snapshot) KB() *store.KB {
 func (s *Snapshot) Version() uint64 { return s.version }
 
 // Fingerprint returns the KB's content fingerprint (store.KB.Fingerprint),
-// computed once per snapshot and cached — the identity a one-shot
-// BuildKBContext over the same surviving documents would produce.
+// computed once per snapshot and cached — the text a one-shot
+// BuildKBContext over the same surviving documents would produce. It
+// materializes the KB; Identity is the same content's O(1) stand-in.
 func (s *Snapshot) Fingerprint() string {
 	s.fpOnce.Do(func() { s.fp = s.KB().Fingerprint() })
 	return s.fp
 }
 
+// FactCount returns KB().Len() without materializing the KB.
+func (s *Snapshot) FactCount() int { return s.content.facts }
+
+// EntityCount returns len(KB().Entities()) without materializing the KB.
+func (s *Snapshot) EntityCount() int { return s.content.entities }
+
+// Identity returns the KB's content identity, store.TextIdentity of
+// Fingerprint(), without materializing the KB.
+func (s *Snapshot) Identity() store.Identity { return s.content.id }
+
 // versionDelta is one retained history entry: the key-based diff a
-// version introduced, plus the version's merge tree and fingerprint
-// stamp so a replay can hand out the same DeltaEvent the live tail did.
-// The tree shares structure with its neighbors (persistent merge tree),
-// so retaining it costs pointer work, not copies. The entry deliberately
+// version introduced, plus the version's merge tree and content so a
+// replay can hand out the same DeltaEvent the live tail did. The tree
+// shares structure with its neighbors (persistent merge tree), so
+// retaining it costs pointer work, not copies. The entry deliberately
 // holds no *Snapshot: a snapshot caches its materialized KB, and history
 // must not pin one per retained version.
 type versionDelta struct {
 	version uint64
 	delta   store.Delta
 	tree    *store.Tree
-	stamp   *shaStamp
+	content content
 }
 
 // event rebuilds the version's DeltaEvent around a fresh snapshot handle.
 func (d versionDelta) event() DeltaEvent {
 	return DeltaEvent{Version: d.version, Delta: d.delta,
-		Snap: &Snapshot{tree: d.tree, version: d.version, stamp: d.stamp}}
+		Snap: &Snapshot{tree: d.tree, version: d.version, content: d.content}}
 }
 
 // Session is a long-lived handle for incremental on-the-fly KB
@@ -268,7 +299,7 @@ func Open(b ShardBuilder, opts SessionOptions) *Session {
 		opt:     opts,
 		segs:    make(map[string]*store.Segment),
 		seqs:    make(map[string]uint64),
-		cur:     newSnapshot(store.NewTree(merge), 0),
+		cur:     &Snapshot{tree: store.NewTree(merge)},
 		subs:    newFanout[DeltaEvent](opts.WatchBuffer),
 	}
 	if sb, ok := b.(SegmentBuilder); ok {
@@ -300,7 +331,9 @@ type SessionState struct {
 // segment merging is associative in content and layout, the restored
 // KB is fingerprint-identical to the pre-restart session even though the
 // tree's internal bracketing may differ (evictions before the restart
-// left splits the replay does not reproduce).
+// left splits the replay does not reproduce). The restored version's
+// counts and identity are computed once here, by streaming the tree;
+// every later version folds them from its delta.
 //
 // The history horizon restarts at st.Version: FactsSince/DeltaSince with
 // an older version report ok=false, telling consumers to re-baseline
@@ -353,7 +386,8 @@ func Restore(b ShardBuilder, opts SessionOptions, st SessionState) (*Session, er
 	if m, ok := b.(SegmentMerger); ok {
 		merge = m.MergeSegments
 	}
-	s.cur = newSnapshot(tree.WithMergeFunc(merge), st.Version)
+	tree = tree.WithMergeFunc(merge)
+	s.cur = &Snapshot{tree: tree, version: st.Version, content: contentOf(tree)}
 	return s, nil
 }
 
@@ -533,13 +567,7 @@ func (s *Session) Ingest(ctx context.Context, docs []*nlp.Document) (*Snapshot, 
 			s.count(CounterCompactBackstops, 1)
 		}
 		bs.StageElapsed.Merge = time.Since(mergeStart)
-		// The version's diff is only computed when someone can observe it,
-		// so sessions with history disabled and no subscribers skip it.
-		var delta store.Delta
-		if s.needsDeltaLocked() {
-			delta = store.DiffTrees(oldTree, tree, changed)
-		}
-		s.advanceLocked(tree, delta, ops)
+		s.advanceLocked(oldTree, tree, changed, ops)
 	}
 	bs.Elapsed = time.Since(start)
 	return s.cur, bs, err
@@ -573,23 +601,21 @@ func (s *Session) dropLocked(tree *store.Tree, victims []string, changed []*stor
 	return tree, changed
 }
 
-// needsDeltaLocked reports whether a published version's diff has any
-// observer: retained history or a subscriber. Callers hold s.mu.
-func (s *Session) needsDeltaLocked() bool {
-	return s.opt.HistoryLimit > 0 || s.subs.len() > 0
-}
-
-// advanceLocked publishes tree as the next version: it hands the
-// version to the persistence sink and the maintenance hook (if any),
-// retains its diff, and offers one DeltaEvent to every subscriber — all
-// a subscriber's filtering and pattern evaluation happens on its own
-// side of the channel, so the work under the lock does not grow with
-// what subscribers project. Every version is fanned out, including
-// eviction-only ones whose delta carries removals alone. Callers hold
-// s.mu.
-func (s *Session) advanceLocked(tree *store.Tree, delta store.Delta, ops *pubOps) {
+// advanceLocked publishes tree, derived from the current version's
+// oldTree by adding and removing the changed leaf segments, as the next
+// version. It diffs the two trees — the delta also yields the version's
+// counts and identity, folded from the current version's in O(|delta|)
+// — hands the version to the persistence sink and the maintenance hook
+// (if any), retains its diff, and offers one DeltaEvent to every
+// subscriber: all a subscriber's filtering and pattern evaluation
+// happens on its own side of the channel, so the work under the lock
+// does not grow with what subscribers project. Every version is fanned
+// out, including eviction-only ones whose delta carries removals alone.
+// Callers hold s.mu.
+func (s *Session) advanceLocked(oldTree, tree *store.Tree, changed []*store.Segment, ops *pubOps) {
+	delta, did := store.DiffTrees(oldTree, tree, changed)
 	v := s.cur.version + 1
-	s.cur = newSnapshot(tree, v)
+	s.cur = &Snapshot{tree: tree, version: v, content: s.cur.content.next(&delta, did)}
 	if s.opt.Persist != nil {
 		s.opt.Persist.Publish(v, s.nextSeq, ops.addKeys, ops.addSeqs, ops.addSegs, ops.delSeqs, tree)
 	}
@@ -597,7 +623,7 @@ func (s *Session) advanceLocked(tree *store.Tree, delta store.Delta, ops *pubOps
 		s.maint.published(v, s.cur, s.loose)
 	}
 	if s.opt.HistoryLimit > 0 {
-		s.history = append(s.history, versionDelta{version: v, delta: delta, tree: tree, stamp: s.cur.stamp})
+		s.history = append(s.history, versionDelta{version: v, delta: delta, tree: tree, content: s.cur.content})
 		if over := len(s.history) - s.opt.HistoryLimit; over > 0 {
 			s.history = append([]versionDelta(nil), s.history[over:]...)
 		}
@@ -655,11 +681,7 @@ func (s *Session) evictLocked(victims []string) int {
 	ops := &pubOps{}
 	tree, changed = s.dropLocked(tree, victimKeys, changed, ops)
 	s.docIDs = survivors
-	var delta store.Delta
-	if s.needsDeltaLocked() {
-		delta = store.DiffTrees(oldTree, tree, changed)
-	}
-	s.advanceLocked(tree, delta, ops)
+	s.advanceLocked(oldTree, tree, changed, ops)
 	return len(gone)
 }
 
@@ -778,8 +800,9 @@ func (s *Session) isClosed() bool {
 // swapped for one holding the compacted tree at the same version — no
 // new version, no delta, no subscriber traffic, and persistence is
 // untouched (the durable log stores leaves, not layouts). The swap is
-// content-neutral: callers (Maintainer) verify fingerprint identity
-// against snap before offering the tree. Returns false when snap has
+// content-neutral: callers (Maintainer) verify the tree's content
+// identity against snap's before offering it, and the new handle carries
+// snap's counts and identity over. Returns false when snap has
 // been superseded by a newer version — the job's work is discarded, as
 // a fresher snapshot (with its own compaction job) has replaced it —
 // or when the session is closed.
@@ -792,7 +815,7 @@ func (s *Session) adoptCompacted(snap *Snapshot, compacted *store.Tree) bool {
 	if compacted.Len() != snap.tree.Len() {
 		return false // defense in depth: never adopt a tree of different size
 	}
-	s.cur = &Snapshot{tree: compacted, version: snap.version, stamp: snap.stamp} // same content, same stamp
+	s.cur = &Snapshot{tree: compacted, version: snap.version, content: snap.content}
 	s.loose = 0
 	return true
 }

@@ -84,12 +84,6 @@ func (f *fanout[T]) send(v T) {
 	}
 }
 
-func (f *fanout[T]) len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.subs)
-}
-
 // close closes every subscriber channel; later subscribers get a closed
 // channel. Idempotent.
 func (f *fanout[T]) close() {
@@ -183,9 +177,9 @@ func (s *Session) Feed(ctx context.Context, from FeedStart) Feed {
 	return f
 }
 
-// subscribe attaches a bare per-version subscriber. It takes s.mu so a
-// publish decides whether to compute the version's diff and fans it out
-// against the same subscriber set.
+// subscribe attaches a bare per-version subscriber. It takes s.mu, so a
+// subscription never lands in the middle of a publish: its first event
+// is the first version published after it returns.
 func (s *Session) subscribe(ctx context.Context, dropped func()) <-chan DeltaEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,14 +2,13 @@ package qkbfly_test
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"qkbfly"
 	"qkbfly/internal/corpus"
+	"qkbfly/internal/kb/store"
 	"qkbfly/internal/kb/store/persist"
 	"qkbfly/internal/nlp"
 	"qkbfly/internal/query"
@@ -74,7 +73,7 @@ func TestSessionRestartEquivalence(t *testing.T) {
 		// Graceful shutdown: drain the session, flush writeback, seal.
 		sess.Close()
 		p.Flush()
-		p.Seal(want)
+		p.Seal(preSnap.Identity())
 		if err := p.Close(); err != nil {
 			t.Fatalf("seed %d: close persist: %v", seed, err)
 		}
@@ -102,9 +101,8 @@ func TestSessionRestartEquivalence(t *testing.T) {
 		if got != want {
 			t.Fatalf("seed %d: restored fingerprint differs from pre-restart", seed)
 		}
-		sum := sha256.Sum256([]byte(got))
-		if hex.EncodeToString(sum[:]) != rec2.FingerprintSHA {
-			t.Fatalf("seed %d: seal fingerprint SHA does not verify", seed)
+		if rec2.Identity != store.TextIdentity(got) || snap.Identity() != rec2.Identity {
+			t.Fatalf("seed %d: seal identity does not verify", seed)
 		}
 
 		// History horizon: readers older than the restart must be told to
@@ -170,10 +168,10 @@ func TestSessionRestoreQueryMatches(t *testing.T) {
 		t.Fatal("reference query returned no rows; test is vacuous")
 	}
 	wantRows := fmt.Sprint(collected)
-	fp := sess.Snapshot().Fingerprint()
+	id := sess.Snapshot().Identity()
 	sess.Close()
 	p.Flush()
-	p.Seal(fp)
+	p.Seal(id)
 	p.Close()
 
 	p2, rec, err := persist.Open(dir, persist.Options{Logf: t.Logf})
