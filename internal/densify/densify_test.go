@@ -1,6 +1,7 @@
 package densify
 
 import (
+	"runtime"
 	"testing"
 
 	"qkbfly/internal/corpus"
@@ -185,18 +186,96 @@ func TestTextConflictHelper(t *testing.T) {
 	}
 }
 
-func TestDensifyIsDeterministic(t *testing.T) {
-	f := getFixture(t)
-	id := f.world.EntitiesOfType("PERSON")[2]
-	gd := f.world.Article(id, false)
-	_, r1, _ := f.densify(t, gd.Doc.Text, DefaultParams())
-	_, r2, _ := f.densify(t, gd.Doc.Text, DefaultParams())
-	if len(r1.Assignment) != len(r2.Assignment) {
-		t.Fatal("nondeterministic assignment count")
+// scaledWorld is the default world with every population multiplied by
+// scale, as the benchmark's daemon builds it: at scale 8 up to eight
+// entities share a name, and their candidate weights tie.
+type scaledWorld struct {
+	world *corpus.World
+	stats *stats.Stats
+	pipe  *clause.Pipeline
+}
+
+var scaled = map[int]*scaledWorld{}
+
+func getScaledWorld(tb testing.TB, scale int) *scaledWorld {
+	tb.Helper()
+	if sw := scaled[scale]; sw != nil {
+		return sw
 	}
-	for k, v := range r1.Assignment {
-		if r2.Assignment[k] != v {
-			t.Errorf("node %d: %s vs %s", k, v, r2.Assignment[k])
+	c := corpus.DefaultConfig()
+	for _, n := range []*int{
+		&c.People, &c.Cities, &c.Clubs, &c.Bands, &c.Companies,
+		&c.Universities, &c.Charities, &c.Parties, &c.Films, &c.Albums,
+		&c.Series, &c.Awards, &c.Events,
+	} {
+		*n *= scale
+	}
+	w := corpus.NewWorld(c)
+	pipe := clause.NewPipeline(w.Repo, depparse.Malt)
+	sw := &scaledWorld{world: w, pipe: pipe, stats: stats.Build(corpus.Docs(w.BackgroundCorpus()), w.Repo, pipe)}
+	scaled[scale] = sw
+	return sw
+}
+
+// graphs annotates the first n wiki documents of the world and builds
+// their semantic graphs.
+func (sw *scaledWorld) graphs(n int) ([]*graph.Graph, []*nlp.Document) {
+	docs := corpus.Docs(sw.world.WikiDataset(n))
+	b := graph.NewBuilder(sw.world.Repo)
+	gs := make([]*graph.Graph, len(docs))
+	for i, doc := range docs {
+		gs[i] = b.Build(doc, sw.pipe.AnnotateDocument(doc))
+	}
+	return gs, docs
+}
+
+// TestDensifyIsDeterministic densifies each document twice, once with a
+// fresh scratch and scorer and once with a reused pair, and requires the
+// same removals and a bit-identical Result. The first 300 wiki documents
+// of the world scaled x8 are the smallest set found on which a solver
+// that adds its weights in map order fails this in every run (20 of 20:
+// each run a few of those documents resolve a near-tie differently); at
+// 200 documents it failed 8 runs of 10, at scale 1 none.
+func TestDensifyIsDeterministic(t *testing.T) {
+	sw := getScaledWorld(t, 8)
+	gs, docs := sw.graphs(300)
+	reused := NewScratch()
+	var scorer *Scorer
+	for i, g := range gs {
+		fresh := solve(g, NewScorer(sw.stats, sw.world.Repo, DefaultParams(), docs[i]), NewScratch())
+		if scorer == nil {
+			scorer = NewScorer(sw.stats, sw.world.Repo, DefaultParams(), docs[i])
+		} else {
+			scorer.Reset(docs[i])
+		}
+		if d := solve(g, scorer, reused).diff(fresh); d != "" {
+			t.Errorf("%s: reused scratch: %s", docs[i].ID, d)
 		}
 	}
+}
+
+// BenchmarkDensify times the densify stage — the scorer's per-document
+// reset plus the solver — over the graphs of the first 300 wiki documents
+// of the world scaled x8, with one reused scorer and scratch as an engine
+// worker runs them.
+func BenchmarkDensify(b *testing.B) {
+	sw := getScaledWorld(b, 8)
+	gs, docs := sw.graphs(300)
+	scorer := NewScorer(sw.stats, sw.world.Repo, DefaultParams(), docs[0])
+	sc := NewScratch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, g := range gs {
+			clearRemoved(g)
+			scorer.Reset(docs[j])
+			DensifyScratch(g, scorer, sc)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(gs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/doc")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/doc")
 }

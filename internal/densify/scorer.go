@@ -1,8 +1,16 @@
 // Package densify implements the graph algorithm of §4: edge weights, the
 // greedy approximation of the constrained densest-subgraph objective
-// (Algorithm 1) with selective incremental weight recomputation, and the
-// normalized confidence scores. It jointly performs named-entity
-// disambiguation and co-reference resolution on a semantic graph.
+// (Algorithm 1), and the normalized confidence scores. It jointly performs
+// named-entity disambiguation and co-reference resolution on a semantic
+// graph.
+//
+// One solve computes each means weight once, at reset, and each pair
+// weight once per (relation edge, entity pair), when first used. The
+// greedy loop caches every removable edge's contribution; after a removal
+// it recomputes from scratch only the contributions whose inputs the
+// removal changed (see greedyLoop). Every sum is added in a fixed order —
+// edges and entities ascending by node ID — so a Result is a pure function
+// of the graph and the scorer, bit for bit.
 package densify
 
 import (

@@ -28,9 +28,12 @@ type Stats struct {
 	ctxSum       map[string]float64
 	df           map[string]int
 	nDocs        int
-	typeSig      map[string]map[string]int // pattern -> subjType|objType -> count
+	typeSig      map[string]map[typePair]int // pattern -> (subject type, object type) -> count
 	typeSigTotal map[string]int
 }
+
+// typePair is the argument-type combination of one type-signature count.
+type typePair struct{ subj, obj string }
 
 var stopwords = map[string]bool{
 	"the": true, "a": true, "an": true, "is": true, "was": true, "are": true,
@@ -52,33 +55,43 @@ func Build(docs []*nlp.Document, repo *entityrepo.Repo, pipe *clause.Pipeline) *
 		ctx:          make(map[string]map[string]float64),
 		ctxSum:       make(map[string]float64),
 		df:           make(map[string]int),
-		typeSig:      make(map[string]map[string]int),
+		typeSig:      make(map[string]map[typePair]int),
 		typeSigTotal: make(map[string]int),
 	}
 	s.nDocs = len(docs)
 
-	// Pass 1: term frequencies and document frequencies.
-	tf := make(map[string]map[string]int, len(docs))
+	// Pass 1: term frequencies and document frequencies. Each document's
+	// distinct terms are also kept in first-occurrence order: the order
+	// the TF-IDF sum below adds them in, so that the sum — and every
+	// similarity normalized by it — is the same in every process.
+	type termCounts struct {
+		counts map[string]int
+		terms  []string
+	}
+	tf := make(map[string]termCounts, len(docs))
 	for _, doc := range docs {
 		entityID := docEntity(doc)
 		if len(doc.Sentences) == 0 {
 			continue
 		}
-		counts := map[string]int{}
+		tc := termCounts{counts: map[string]int{}}
 		for i := range doc.Sentences {
 			for _, t := range doc.Sentences[i].Tokens {
 				w := intern.Lower(t.Text)
 				if stopwords[w] || len(w) < 2 || !isWordLike(w) {
 					continue
 				}
-				counts[w]++
+				if tc.counts[w] == 0 {
+					tc.terms = append(tc.terms, w)
+				}
+				tc.counts[w]++
 			}
 		}
-		for w := range counts {
+		for _, w := range tc.terms {
 			s.df[w]++
 		}
 		if entityID != "" {
-			tf[entityID] = counts
+			tf[entityID] = tc
 		}
 		// Anchor priors.
 		for _, a := range doc.Anchors {
@@ -96,12 +109,12 @@ func Build(docs []*nlp.Document, repo *entityrepo.Repo, pipe *clause.Pipeline) *
 		}
 	}
 	// TF-IDF vectors.
-	for entityID, counts := range tf {
-		vec := make(map[string]float64, len(counts))
+	for entityID, tc := range tf {
+		vec := make(map[string]float64, len(tc.terms))
 		sum := 0.0
-		for w, c := range counts {
+		for _, w := range tc.terms {
 			idf := math.Log(float64(s.nDocs+1) / float64(s.df[w]+1))
-			v := float64(c) * idf
+			v := float64(tc.counts[w]) * idf
 			vec[w] = v
 			sum += v
 		}
@@ -167,12 +180,12 @@ func (s *Stats) argTypes(sent *nlp.Sentence, head int, anchorAt map[int]string, 
 func (s *Stats) countSig(pattern string, subjTypes, objTypes []string) {
 	m := s.typeSig[pattern]
 	if m == nil {
-		m = map[string]int{}
+		m = map[typePair]int{}
 		s.typeSig[pattern] = m
 	}
 	for _, st := range subjTypes {
 		for _, ot := range objTypes {
-			m[st+"|"+ot]++
+			m[typePair{st, ot}]++
 			s.typeSigTotal[pattern]++
 		}
 	}
@@ -312,7 +325,7 @@ func (s *Stats) TypeSignature(subjTypes, objTypes []string, pattern string) floa
 	count := 0
 	for _, st := range subjTypes {
 		for _, ot := range objTypes {
-			count += m[st+"|"+ot]
+			count += m[typePair{st, ot}]
 		}
 	}
 	return float64(count) / float64(total)

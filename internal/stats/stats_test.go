@@ -142,3 +142,22 @@ func TestTypeSignatureDiscriminatesCityVsClub(t *testing.T) {
 		t.Errorf("sign for CITY %f > CLUB %f", city, club)
 	}
 }
+
+// TestBuildIsDeterministic builds the statistics twice from the same
+// corpus and requires every context-vector sum to be bit-identical. Go
+// randomizes map iteration per loop, so a sum added in map order differs
+// in its last bits between two builds — and between two processes,
+// which then disagree on a near-tied disambiguation.
+func TestBuildIsDeterministic(t *testing.T) {
+	a, w := buildStats(t)
+	pipe := clause.NewPipeline(w.Repo, depparse.Malt)
+	b := Build(corpus.Docs(w.BackgroundCorpus()), w.Repo, pipe)
+	if len(a.ctxSum) != len(b.ctxSum) {
+		t.Fatalf("%d vs %d context vectors", len(a.ctxSum), len(b.ctxSum))
+	}
+	for id, sum := range a.ctxSum {
+		if math.Float64bits(sum) != math.Float64bits(b.ctxSum[id]) {
+			t.Errorf("%s: context sum %v vs %v", id, sum, b.ctxSum[id])
+		}
+	}
+}
