@@ -40,6 +40,11 @@ func main() {
 		incs    = flag.Int("increments", 1, "feed the retrieved documents through a session in k increments (shows versioned incremental ingestion)")
 	)
 	flag.Parse()
+	if *size < 1 {
+		fmt.Fprintln(os.Stderr, "-size must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// ^C cancels the build; the KB over the already-processed documents is
 	// still printed.

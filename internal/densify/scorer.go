@@ -14,6 +14,8 @@
 package densify
 
 import (
+	"slices"
+
 	"qkbfly/internal/graph"
 	"qkbfly/internal/kb/entityrepo"
 	"qkbfly/internal/nlp"
@@ -51,8 +53,9 @@ type Scorer struct {
 	Params Params
 	Doc    *nlp.Document
 
-	sentVec    []map[string]float64
-	sentVecSum []float64
+	sentVec    []stats.Vector
+	vecTerms   []int32   // backing store of sentVec's terms
+	vecWeights []float64 // backing store of sentVec's weights
 	cohCache   map[[2]string]float64
 	typeCache  map[string][]string
 }
@@ -72,25 +75,26 @@ func NewScorer(st *stats.Stats, repo *entityrepo.Repo, p Params, doc *nlp.Docume
 // context vectors. The entity-level caches (pairwise coherence, type
 // closures) depend only on the background statistics and repository, so
 // they survive the reset — a worker that processes many documents reuses
-// them across its whole batch. The sentence-vector maps themselves are
-// recycled (cleared and refilled) instead of reallocated.
+// them across its whole batch. The sentence vectors share one buffer,
+// with room for every token of the document, that the scorer keeps and
+// grows across resets.
 func (s *Scorer) Reset(doc *nlp.Document) {
 	s.Doc = doc
-	n := len(doc.Sentences)
-	if cap(s.sentVec) < n {
-		grown := make([]map[string]float64, n)
-		copy(grown, s.sentVec[:cap(s.sentVec)])
-		s.sentVec = grown
-	} else {
-		s.sentVec = s.sentVec[:cap(s.sentVec)][:n]
-	}
-	if cap(s.sentVecSum) < n {
-		s.sentVecSum = make([]float64, n)
-	} else {
-		s.sentVecSum = s.sentVecSum[:n]
-	}
+	tokens := 0
 	for i := range doc.Sentences {
-		s.sentVec[i], s.sentVecSum[i] = s.Stats.SentenceVectorInto(s.sentVec[i], &doc.Sentences[i])
+		tokens += len(doc.Sentences[i].Tokens)
+	}
+	if cap(s.vecTerms) < tokens {
+		s.vecTerms, s.vecWeights = make([]int32, tokens), make([]float64, tokens)
+	}
+	s.sentVec = slices.Grow(s.sentVec[:0], len(doc.Sentences))[:len(doc.Sentences)]
+	off := 0
+	for i := range doc.Sentences {
+		end := off + len(doc.Sentences[i].Tokens)
+		v := &s.sentVec[i]
+		v.Terms, v.Weights = s.vecTerms[off:off:end], s.vecWeights[off:off:end]
+		s.Stats.SentenceVectorInto(v, &doc.Sentences[i])
+		off = end
 	}
 }
 
@@ -99,7 +103,7 @@ func (s *Scorer) MeansWeight(n *graph.Node, entityID string) float64 {
 	prior := s.Stats.Prior(n.Text, entityID)
 	sim := 0.0
 	if n.SentIndex >= 0 && n.SentIndex < len(s.sentVec) {
-		sim = s.Stats.Similarity(s.sentVec[n.SentIndex], s.sentVecSum[n.SentIndex], entityID)
+		sim = s.Stats.Similarity(s.sentVec[n.SentIndex], entityID)
 	}
 	return s.Params.Alpha1*prior + s.Params.Alpha2*sim
 }

@@ -2,12 +2,23 @@
 // article and news collections. It plays the role of the paper's
 // query-time document retrieval (Wikipedia and Google News restricted to
 // en.wikipedia.org / bbc.com, §6 and Appendix B Step 1).
+//
+// Postings are flat: each term maps to a slice of (document ordinal, term
+// frequency) pairs in ascending document order, and each document's BM25
+// length term k1·(1-b+b·len/avgLen) is computed once, by New. A query adds
+// its term scores into a dense per-document array (pooled scratch, zeroed
+// on return), each document's sum in query-term order with the title boost
+// added last, and keeps the best k by bounded insertion under the result
+// order — score descending, then document ID ascending — so it neither
+// allocates a map nor sorts every hit.
 package search
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"qkbfly/internal/nlp"
 )
@@ -18,40 +29,59 @@ const (
 	b  = 0.75
 )
 
-// Index is an inverted index with BM25 scoring.
+// Index is an inverted index with BM25 scoring. It is safe for concurrent
+// searches.
 type Index struct {
-	docs    []*nlp.Document
-	lengths []int
-	avgLen  float64
-	// postings: term -> doc ordinal -> term frequency
-	postings map[string]map[int]int
+	docs []*nlp.Document
+	// lenNorm is each document's BM25 length term k1*(1-b+b*len/avgLen).
+	lenNorm  []float64
+	postings map[string][]posting
 	titles   map[string]int // normalized title -> doc ordinal
+	scratch  sync.Pool      // *scratch
+}
+
+// posting is one (document, term frequency) entry of a term's postings.
+type posting struct{ doc, tf int32 }
+
+// scratch is one search's working state, sized to the index.
+type scratch struct {
+	score   []float64
+	seen    []bool
+	touched []int32 // documents with a score, in first-touch order
+	top     []int32 // the best documents so far, best first
 }
 
 // New builds an index over the documents.
 func New(docs []*nlp.Document) *Index {
 	idx := &Index{
 		docs:     docs,
-		postings: make(map[string]map[int]int),
+		lenNorm:  make([]float64, len(docs)),
+		postings: make(map[string][]posting),
 		titles:   make(map[string]int),
 	}
 	total := 0
 	for di, doc := range docs {
 		terms := docTerms(doc)
-		idx.lengths = append(idx.lengths, len(terms))
+		idx.lenNorm[di] = float64(len(terms))
 		total += len(terms)
 		for _, t := range terms {
-			m := idx.postings[t]
-			if m == nil {
-				m = map[int]int{}
-				idx.postings[t] = m
+			post := idx.postings[t]
+			if n := len(post); n > 0 && post[n-1].doc == int32(di) {
+				post[n-1].tf++
+				continue
 			}
-			m[di]++
+			idx.postings[t] = append(post, posting{doc: int32(di), tf: 1})
 		}
 		idx.titles[normalize(doc.Title)] = di
 	}
 	if len(docs) > 0 {
-		idx.avgLen = float64(total) / float64(len(docs))
+		avgLen := float64(total) / float64(len(docs))
+		for di, dl := range idx.lenNorm {
+			idx.lenNorm[di] = k1 * (1 - b + b*dl/avgLen)
+		}
+	}
+	idx.scratch.New = func() any {
+		return &scratch{score: make([]float64, len(docs)), seen: make([]bool, len(docs))}
 	}
 	return idx
 }
@@ -66,45 +96,80 @@ type Result struct {
 }
 
 // Search returns the top-k documents for the query, optionally restricted
-// to one source ("wikipedia" or "news"; empty means both).
+// to one source ("wikipedia" or "news"; empty means both). k <= 0 returns
+// no hits.
 func (idx *Index) Search(query string, k int, source string) []Result {
-	terms := tokenize(query)
-	scores := map[int]float64{}
+	if k <= 0 {
+		return nil
+	}
+	sc := idx.scratch.Get().(*scratch)
+	defer idx.release(sc)
 	n := float64(len(idx.docs))
-	for _, t := range terms {
+	for _, t := range tokenize(query) {
 		post := idx.postings[t]
 		if len(post) == 0 {
 			continue
 		}
 		idf := math.Log(1 + (n-float64(len(post))+0.5)/(float64(len(post))+0.5))
-		for di, tf := range post {
-			dl := float64(idx.lengths[di])
-			den := float64(tf) + k1*(1-b+b*dl/idx.avgLen)
-			scores[di] += idf * float64(tf) * (k1 + 1) / den
+		for _, p := range post {
+			tf := float64(p.tf)
+			sc.add(p.doc, idf*tf*(k1+1)/(tf+idx.lenNorm[p.doc]))
 		}
 	}
 	// Exact title match gets a strong boost (the paper retrieves the
 	// Wikipedia article with the entity's ID directly).
 	if di, ok := idx.titles[normalize(query)]; ok {
-		scores[di] += 100
+		sc.add(int32(di), 100)
 	}
-	var out []Result
-	for di, s := range scores {
-		if source != "" && idx.docs[di].Source != source {
-			continue
+	for _, di := range sc.touched {
+		if source == "" || idx.docs[di].Source == source {
+			idx.offer(sc, di, k)
 		}
-		out = append(out, Result{Doc: idx.docs[di], Score: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc.ID < out[j].Doc.ID
-	})
-	if len(out) > k {
-		out = out[:k]
+	if len(sc.top) == 0 {
+		return nil
+	}
+	out := make([]Result, len(sc.top))
+	for i, di := range sc.top {
+		out[i] = Result{Doc: idx.docs[di], Score: sc.score[di]}
 	}
 	return out
+}
+
+func (sc *scratch) add(di int32, v float64) {
+	if !sc.seen[di] {
+		sc.seen[di] = true
+		sc.touched = append(sc.touched, di)
+	}
+	sc.score[di] += v
+}
+
+// better reports whether document x ranks before document y.
+func (idx *Index) better(sc *scratch, x, y int32) bool {
+	if sx, sy := sc.score[x], sc.score[y]; sx != sy {
+		return sx > sy
+	}
+	return idx.docs[x].ID < idx.docs[y].ID
+}
+
+// offer inserts document di into the top list if it ranks among the best k.
+func (idx *Index) offer(sc *scratch, di int32, k int) {
+	top := sc.top
+	if len(top) == k && !idx.better(sc, di, top[k-1]) {
+		return
+	}
+	at := sort.Search(len(top), func(i int) bool { return idx.better(sc, di, top[i]) })
+	sc.top = slices.Insert(top, at, di)[:min(len(top)+1, k)]
+}
+
+// release zeroes what the search touched and returns the scratch.
+func (idx *Index) release(sc *scratch) {
+	for _, di := range sc.touched {
+		sc.score[di] = 0
+		sc.seen[di] = false
+	}
+	sc.touched, sc.top = sc.touched[:0], sc.top[:0]
+	idx.scratch.Put(sc)
 }
 
 // ByTitle returns the document with the given title, or nil.
@@ -114,7 +179,6 @@ func (idx *Index) ByTitle(title string) *nlp.Document {
 	}
 	return nil
 }
-
 func docTerms(doc *nlp.Document) []string {
 	var out []string
 	out = append(out, tokenize(doc.Title)...)

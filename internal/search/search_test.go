@@ -89,3 +89,12 @@ func TestDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestNonPositiveKReturnsNoHits(t *testing.T) {
+	idx := New(docs())
+	for _, k := range []int{0, -1} {
+		if hits := idx.Search("Brad Pitt", k, ""); len(hits) != 0 {
+			t.Errorf("k=%d returned %d hits", k, len(hits))
+		}
+	}
+}

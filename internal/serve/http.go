@@ -592,10 +592,10 @@ func floatParam(w http.ResponseWriter, r *http.Request, name string) (f float64,
 	return f, true
 }
 
+// writeJSON writes v as one line of compact JSON, the form of every JSON
+// body the daemon writes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -97,7 +97,7 @@ func (c *analyticsCache) respond(tr *qkbfly.AnalyticsTracker) (body []byte, vers
 }
 
 func marshalAnalytics(resp analyticsResponse) []byte {
-	b, err := json.MarshalIndent(resp, "", "  ")
+	b, err := json.Marshal(resp)
 	if err != nil {
 		// Summary marshals by construction; keep the contract total anyway.
 		b = []byte(`{"error":"analytics marshal failed"}`)

@@ -7,10 +7,22 @@
 //   - type signatures: (co-)occurrence counts of argument types under
 //     relation patterns, from clauses whose arguments are anchor-linked
 //     entities or recognized names/time expressions.
+//
+// A context vector is a sparse Vector: the IDs of its terms, ascending,
+// their weights in the same order, and the sum of the weights. Build
+// numbers the background corpus's terms in sorted-term order, so an ID
+// means the same term in every process. An entity's sum adds its terms in
+// their order of first occurrence in its article; a sentence's sum adds
+// every token's weight in token order, including tokens the corpus never
+// saw, which are not stored because they cannot match. The overlap of two
+// vectors merge-joins their ID lists and adds the matched minima in
+// ascending value order, so every similarity is a pure function of the
+// two vectors, bit for bit.
 package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,14 +34,23 @@ import (
 
 // Stats holds the precomputed background statistics.
 type Stats struct {
-	anchorCount  map[string]map[string]int // mention -> entity -> count
-	mentionTotal map[string]int            // mention -> total anchors
-	ctx          map[string]map[string]float64
-	ctxSum       map[string]float64
-	df           map[string]int
-	nDocs        int
+	anchorCount  map[string]map[string]int   // mention -> entity -> count
+	mentionTotal map[string]int              // mention -> total anchors
+	ctx          map[string]Vector           // entity -> context vector
+	termID       map[string]int32            // background term -> term ID
+	idf          []float64                   // term ID -> idf
+	unseenIDF    float64                     // idf of a term the corpus never saw
 	typeSig      map[string]map[typePair]int // pattern -> (subject type, object type) -> count
 	typeSigTotal map[string]int
+}
+
+// Vector is a sparse TF-IDF vector: Terms holds term IDs in ascending
+// order, Weights their weights in the same order, and Sum the sum of the
+// vector's weights (see the package doc for the order it is added in).
+type Vector struct {
+	Terms   []int32
+	Weights []float64
+	Sum     float64
 }
 
 // typePair is the argument-type combination of one type-signature count.
@@ -52,13 +73,10 @@ func Build(docs []*nlp.Document, repo *entityrepo.Repo, pipe *clause.Pipeline) *
 	s := &Stats{
 		anchorCount:  make(map[string]map[string]int),
 		mentionTotal: make(map[string]int),
-		ctx:          make(map[string]map[string]float64),
-		ctxSum:       make(map[string]float64),
-		df:           make(map[string]int),
 		typeSig:      make(map[string]map[typePair]int),
 		typeSigTotal: make(map[string]int),
 	}
-	s.nDocs = len(docs)
+	df := make(map[string]int)
 
 	// Pass 1: term frequencies and document frequencies. Each document's
 	// distinct terms are also kept in first-occurrence order: the order
@@ -88,7 +106,7 @@ func Build(docs []*nlp.Document, repo *entityrepo.Repo, pipe *clause.Pipeline) *
 			}
 		}
 		for _, w := range tc.terms {
-			s.df[w]++
+			df[w]++
 		}
 		if entityID != "" {
 			tf[entityID] = tc
@@ -108,18 +126,42 @@ func Build(docs []*nlp.Document, repo *entityrepo.Repo, pipe *clause.Pipeline) *
 			s.mentionTotal[mention]++
 		}
 	}
-	// TF-IDF vectors.
+	// Term IDs in sorted-term order, and each term's idf.
+	terms := make([]string, 0, len(df))
+	for w := range df {
+		terms = append(terms, w)
+	}
+	sort.Strings(terms)
+	s.termID = make(map[string]int32, len(terms))
+	s.idf = make([]float64, len(terms))
+	for i, w := range terms {
+		s.termID[w] = int32(i)
+		s.idf[i] = math.Log(float64(len(docs)+1) / float64(df[w]+1))
+	}
+	s.unseenIDF = math.Log(float64(len(docs) + 1))
+
+	// TF-IDF vectors, all stored in one backing array. Sorting an
+	// entity's terms sorts them by ID, as IDs follow sorted-term order.
+	n := 0
+	for _, tc := range tf {
+		n += len(tc.terms)
+	}
+	ids, weights := make([]int32, 0, n), make([]float64, 0, n)
+	s.ctx = make(map[string]Vector, len(tf))
 	for entityID, tc := range tf {
-		vec := make(map[string]float64, len(tc.terms))
 		sum := 0.0
 		for _, w := range tc.terms {
-			idf := math.Log(float64(s.nDocs+1) / float64(s.df[w]+1))
-			v := float64(tc.counts[w]) * idf
-			vec[w] = v
-			sum += v
+			sum += float64(tc.counts[w]) * s.idf[s.termID[w]]
 		}
-		s.ctx[entityID] = vec
-		s.ctxSum[entityID] = sum
+		slices.Sort(tc.terms)
+		start := len(ids)
+		for _, w := range tc.terms {
+			id := s.termID[w]
+			ids = append(ids, id)
+			weights = append(weights, float64(tc.counts[w])*s.idf[id])
+		}
+		end := len(ids)
+		s.ctx[entityID] = Vector{Terms: ids[start:end:end], Weights: weights[start:end:end], Sum: sum}
 	}
 
 	// Pass 2: type signatures from clauses. Arguments are typed by anchor
@@ -208,78 +250,110 @@ func (s *Stats) Candidates(mention string) map[string]int {
 	return s.anchorCount[normalizeMention(mention)]
 }
 
-// ContextVector returns the TF-IDF context vector of an entity (may be nil).
-func (s *Stats) ContextVector(entityID string) map[string]float64 {
+// ContextVector returns the TF-IDF context vector of an entity (the zero
+// Vector if the corpus has no article about it).
+func (s *Stats) ContextVector(entityID string) Vector {
 	return s.ctx[entityID]
 }
 
 // SentenceVector builds the TF-IDF context vector of a sentence (the
 // context of a noun-phrase occurrence, §4).
-func (s *Stats) SentenceVector(sent *nlp.Sentence) (map[string]float64, float64) {
-	return s.SentenceVectorInto(nil, sent)
+func (s *Stats) SentenceVector(sent *nlp.Sentence) Vector {
+	var v Vector
+	s.SentenceVectorInto(&v, sent)
+	return v
 }
 
-// SentenceVectorInto is SentenceVector filling a caller-recycled map
-// (allocated when nil, cleared otherwise), so per-document scorer resets
-// reuse their vector maps instead of reallocating them.
-func (s *Stats) SentenceVectorInto(vec map[string]float64, sent *nlp.Sentence) (map[string]float64, float64) {
-	if vec == nil {
-		vec = map[string]float64{}
-	} else {
-		clear(vec)
+// SentenceVectorInto is SentenceVector filling a caller-recycled Vector,
+// so per-document scorer resets reuse their vectors' storage instead of
+// reallocating it. A term repeated in the sentence has its idf added once
+// per occurrence.
+func (s *Stats) SentenceVectorInto(v *Vector, sent *nlp.Sentence) {
+	if n := len(sent.Tokens); cap(v.Terms) < n {
+		// Grown once to the token count, not term by term.
+		v.Terms, v.Weights = make([]int32, 0, n), make([]float64, 0, n)
 	}
-	sum := 0.0
+	v.Terms, v.Weights, v.Sum = v.Terms[:0], v.Weights[:0], 0
 	for _, t := range sent.Tokens {
 		w := intern.Lower(t.Text)
-		if stopwords[w] || len(w) < 2 || !isWordLike(w) {
+		if id, ok := s.termID[w]; ok {
+			v.Terms = append(v.Terms, id)
+			v.Sum += s.idf[id]
+		} else if !stopwords[w] && len(w) >= 2 && isWordLike(w) {
+			v.Sum += s.unseenIDF
+		}
+	}
+	slices.Sort(v.Terms)
+	n := 0
+	for i, id := range v.Terms {
+		if i > 0 && id == v.Terms[n-1] {
+			v.Weights[n-1] += s.idf[id]
 			continue
 		}
-		idf := math.Log(float64(s.nDocs+1) / float64(s.df[w]+1))
-		vec[w] += idf
-		sum += idf
+		v.Terms[n] = id
+		v.Weights = append(v.Weights, s.idf[id])
+		n++
 	}
-	return vec, sum
+	v.Terms = v.Terms[:n]
 }
 
 // Similarity computes the weighted overlap coefficient of §4 between a
-// sentence vector (with its sum) and an entity's context vector:
+// sentence vector and an entity's context vector:
 // sum_k min(vk, v'k) / min(sum vk, sum v'k).
-func (s *Stats) Similarity(vec map[string]float64, vecSum float64, entityID string) float64 {
-	evec := s.ctx[entityID]
-	if evec == nil || vecSum == 0 {
+func (s *Stats) Similarity(vec Vector, entityID string) float64 {
+	evec, ok := s.ctx[entityID]
+	if !ok {
 		return 0
 	}
-	overlap := mapOverlap(vec, evec)
-	den := math.Min(vecSum, s.ctxSum[entityID])
+	return overlapCoefficient(vec, evec)
+}
+
+// Coherence computes the weighted overlap similarity between the context
+// vectors of two entities (coh in §4).
+func (s *Stats) Coherence(e1, e2 string) float64 {
+	v1, ok1 := s.ctx[e1]
+	v2, ok2 := s.ctx[e2]
+	if !ok1 || !ok2 {
+		return 0
+	}
+	return overlapCoefficient(v1, v2)
+}
+
+// overlapCoefficient is sum_k min(a_k, b_k) / min(a.Sum, b.Sum), 0 when
+// the denominator is.
+func overlapCoefficient(a, b Vector) float64 {
+	den := math.Min(a.Sum, b.Sum)
 	if den == 0 {
 		return 0
 	}
-	return clamp01(overlap / den)
+	return clamp01(overlap(a, b) / den)
 }
 
-// mapOverlap returns sum_w min(a[w], b[w]) with the terms summed in
-// sorted order. Float addition is not associative, and Go randomizes map
-// iteration order, so accumulating directly over the range loop makes
-// the overlap — and every confidence derived from it — differ by an ULP
-// between otherwise identical builds. Sorting the term multiset first
-// makes the sum a pure function of the two vectors.
-func mapOverlap(a, b map[string]float64) float64 {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
+// overlap returns sum_k min(a_k, b_k), merge-joining the two ID lists.
+// The matched minima are added in ascending value order: float addition
+// is not associative, and this order depends on the two vectors alone,
+// not on how either was built or which one is passed first.
+func overlap(a, b Vector) float64 {
 	var buf [128]float64
-	terms := buf[:0]
-	for w, av := range a {
-		if bv, ok := b[w]; ok {
-			terms = append(terms, math.Min(av, bv))
+	mins := buf[:0]
+	for i, j := 0, 0; i < len(a.Terms) && j < len(b.Terms); {
+		switch ta, tb := a.Terms[i], b.Terms[j]; {
+		case ta < tb:
+			i++
+		case ta > tb:
+			j++
+		default:
+			mins = append(mins, math.Min(a.Weights[i], b.Weights[j]))
+			i++
+			j++
 		}
 	}
-	sort.Float64s(terms)
-	overlap := 0.0
-	for _, t := range terms {
-		overlap += t
+	slices.Sort(mins)
+	sum := 0.0
+	for _, m := range mins {
+		sum += m
 	}
-	return overlap
+	return sum
 }
 
 // clamp01 guards against floating-point accumulation pushing an overlap
@@ -292,25 +366,6 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-// Coherence computes the weighted overlap similarity between the context
-// vectors of two entities (coh in §4).
-func (s *Stats) Coherence(e1, e2 string) float64 {
-	v1, v2 := s.ctx[e1], s.ctx[e2]
-	if v1 == nil || v2 == nil {
-		return 0
-	}
-	if len(v2) < len(v1) {
-		v1, v2 = v2, v1
-		e1, e2 = e2, e1
-	}
-	overlap := mapOverlap(v1, v2)
-	den := math.Min(s.ctxSum[e1], s.ctxSum[e2])
-	if den == 0 {
-		return 0
-	}
-	return clamp01(overlap / den)
 }
 
 // TypeSignature returns ts(e_i, e_t, r): the relative frequency of the

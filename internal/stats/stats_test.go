@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"qkbfly/internal/corpus"
@@ -68,7 +69,7 @@ func TestCoherenceBounds(t *testing.T) {
 	}
 	a, b := ids[0], ids[1]
 	// Self-coherence is 1 for entities with context vectors.
-	if st.ContextVector(a) != nil {
+	if len(st.ContextVector(a).Terms) > 0 {
 		if c := st.Coherence(a, a); math.Abs(c-1) > 1e-9 {
 			t.Errorf("self-coherence = %f", c)
 		}
@@ -92,19 +93,19 @@ func TestSentenceSimilarity(t *testing.T) {
 	if len(gd.Doc.Sentences) == 0 {
 		t.Skip("empty article")
 	}
-	vec, sum := st.SentenceVector(&gd.Doc.Sentences[0])
-	if sum <= 0 || len(vec) == 0 {
+	vec := st.SentenceVector(&gd.Doc.Sentences[0])
+	if vec.Sum <= 0 || len(vec.Terms) == 0 {
 		t.Fatal("empty sentence vector")
 	}
-	sim := st.Similarity(vec, sum, id)
+	sim := st.Similarity(vec, id)
 	if sim <= 0 || sim > 1 {
 		t.Errorf("similarity = %f, want (0, 1]", sim)
 	}
 	// Similarity with an unrelated award entity should be lower.
 	other := w.EntitiesOfType("AWARD")[0]
-	if st.Similarity(vec, sum, other) >= sim {
+	if st.Similarity(vec, other) >= sim {
 		t.Errorf("unrelated similarity %f >= own %f",
-			st.Similarity(vec, sum, other), sim)
+			st.Similarity(vec, other), sim)
 	}
 }
 
@@ -144,7 +145,8 @@ func TestTypeSignatureDiscriminatesCityVsClub(t *testing.T) {
 }
 
 // TestBuildIsDeterministic builds the statistics twice from the same
-// corpus and requires every context-vector sum to be bit-identical. Go
+// corpus and requires every context vector, its sum included, to be
+// bit-identical. Go
 // randomizes map iteration per loop, so a sum added in map order differs
 // in its last bits between two builds — and between two processes,
 // which then disagree on a near-tied disambiguation.
@@ -152,12 +154,16 @@ func TestBuildIsDeterministic(t *testing.T) {
 	a, w := buildStats(t)
 	pipe := clause.NewPipeline(w.Repo, depparse.Malt)
 	b := Build(corpus.Docs(w.BackgroundCorpus()), w.Repo, pipe)
-	if len(a.ctxSum) != len(b.ctxSum) {
-		t.Fatalf("%d vs %d context vectors", len(a.ctxSum), len(b.ctxSum))
+	if len(a.ctx) != len(b.ctx) {
+		t.Fatalf("%d vs %d context vectors", len(a.ctx), len(b.ctx))
 	}
-	for id, sum := range a.ctxSum {
-		if math.Float64bits(sum) != math.Float64bits(b.ctxSum[id]) {
-			t.Errorf("%s: context sum %v vs %v", id, sum, b.ctxSum[id])
+	for id, va := range a.ctx {
+		vb := b.ctx[id]
+		if math.Float64bits(va.Sum) != math.Float64bits(vb.Sum) {
+			t.Errorf("%s: context sum %v vs %v", id, va.Sum, vb.Sum)
+		}
+		if !slices.Equal(va.Terms, vb.Terms) || !slices.Equal(va.Weights, vb.Weights) {
+			t.Errorf("%s: context vectors differ", id)
 		}
 	}
 }

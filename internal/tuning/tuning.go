@@ -140,10 +140,9 @@ func pairsFor(a *Annotation, st *stats.Stats, repo *entityrepo.Repo) []pairFeatu
 	if len(candsA) == 0 || len(candsB) == 0 {
 		return nil
 	}
-	var vec map[string]float64
-	var vecSum float64
+	var vec stats.Vector // without a sentence, every similarity is 0
 	if a.Sentence != nil {
-		vec, vecSum = st.SentenceVector(a.Sentence)
+		vec = st.SentenceVector(a.Sentence)
 	}
 	var out []pairFeatures
 	goldSeen := false
@@ -151,14 +150,9 @@ func pairsFor(a *Annotation, st *stats.Stats, repo *entityrepo.Repo) []pairFeatu
 		for _, cb := range candsB {
 			pf := pairFeatures{
 				prior: [2]float64{st.Prior(a.MentionA, ca), st.Prior(a.MentionB, cb)},
+				sim:   [2]float64{st.Similarity(vec, ca), st.Similarity(vec, cb)},
 				coh:   st.Coherence(ca, cb),
 				gold:  ca == a.GoldA && cb == a.GoldB,
-			}
-			if vec != nil {
-				pf.sim = [2]float64{
-					st.Similarity(vec, vecSum, ca),
-					st.Similarity(vec, vecSum, cb),
-				}
 			}
 			pf.ts = st.TypeSignature(typesOf(repo, ca), typesOf(repo, cb), a.Pattern)
 			if pf.gold {
