@@ -301,6 +301,7 @@ func DecodeSegment(blob []byte) (*Segment, error) {
 		e.Emerging = em[0] == 1
 		d.ents = append(d.ents, e)
 	}
+	d.buildEntIndex()
 	// POS index: rebuild each entry's key from its fact — the stored
 	// (fact, ordinal) pairs are already in POS-key order.
 	np := int(r.uvarint())

@@ -155,8 +155,10 @@ func Diff(old, new *KB) Delta {
 // of the records it adds or upgrades to minus those of the records it
 // removes or replaces. changed must contain every leaf segment added to
 // or removed from old to obtain new: only keys (and entity IDs) those
-// segments mention can change winners, so the walk is O(|changed| ·
-// log W) point lookups instead of O(window). The session layer uses this
+// segments mention can change winners, so the walk is one point lookup
+// per candidate key or entity ID per run — a binary search of the run's
+// key or entity index, O(|changed| · R · log n) for R = O(log W) runs of
+// at most n records — instead of O(window). The session layer uses this
 // to publish each version's delta, counts and identity at sliding-ingest
 // cost.
 func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
@@ -206,21 +208,56 @@ func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
 // facts appended (an Added key base already holds folds in under the
 // AddFact winner rule); entities likewise. apply(a, Diff(a, b)) is
 // fingerprint-identical to b for any two KBs. base is not mutated.
+//
+// The result is O(|base|) to build but re-derives nothing base already
+// knows: surviving facts keep their dedup keys and field-index postings
+// (renumbered), and surviving entity records are copied without
+// re-closing their types. Only the delta's own records go through
+// AddFact and AddEntity. Fact object slices and entity mention/type
+// slices are shared with base, capped so a later AddEntity on either
+// KB reallocates instead of writing into the other's storage.
 func (d *Delta) Apply(base *KB) *KB {
-	removed := make(map[string]struct{}, len(d.Removed))
+	// newIdx maps each base fact to its index in the result (-1 when
+	// removed); substituted records are patched in afterwards.
+	newIdx := make([]int, len(base.facts))
 	for i := range d.Removed {
-		removed[base.factKeyOf(&d.Removed[i])] = struct{}{}
+		if j, ok := base.byKey[base.factKeyOf(&d.Removed[i])]; ok {
+			newIdx[j] = -1
+		}
 	}
-	upgraded := make(map[string]*Fact, len(d.Upgraded))
+	out := &KB{
+		facts: make([]Fact, 0, len(base.facts)+len(d.Added)),
+		byKey: make(map[string]int, len(base.facts)+len(d.Added)),
+	}
+	for i := range base.facts {
+		if newIdx[i] < 0 {
+			continue
+		}
+		newIdx[i] = len(out.facts)
+		f := base.facts[i]
+		f.ID = len(out.facts)
+		out.facts = append(out.facts, f)
+	}
+	out.nextID = len(out.facts)
 	for i := range d.Upgraded {
-		upgraded[base.factKeyOf(&d.Upgraded[i])] = &d.Upgraded[i]
+		j, ok := base.byKey[base.factKeyOf(&d.Upgraded[i])]
+		if !ok || newIdx[j] < 0 {
+			continue
+		}
+		f := d.Upgraded[i]
+		f.ID = newIdx[j]
+		f.Objects = append([]Value(nil), f.Objects...)
+		out.facts[f.ID] = f
 	}
-
-	out := New()
-	keyOf := make([]string, len(base.facts))
 	for k, i := range base.byKey {
-		keyOf[i] = k
+		if j := newIdx[i]; j >= 0 {
+			out.byKey[k] = j
+		}
 	}
+	out.bySubject = remapPostings(base.bySubject, newIdx)
+	out.byObject = remapPostings(base.byObject, newIdx)
+	out.byRel = remapPostings(base.byRel, newIdx)
+
 	removedEnts := make(map[string]struct{}, len(d.RemovedEntities))
 	for i := range d.RemovedEntities {
 		removedEnts[d.RemovedEntities[i].ID] = struct{}{}
@@ -229,6 +266,10 @@ func (d *Delta) Apply(base *KB) *KB {
 	for i := range d.ChangedEntities {
 		changedEnts[d.ChangedEntities[i].ID] = &d.ChangedEntities[i]
 	}
+	n := len(base.order) + len(d.AddedEntities)
+	out.entities = make(map[string]*EntityRecord, n)
+	out.order = make([]string, 0, n)
+	recs := make([]EntityRecord, 0, len(base.order))
 	for _, id := range base.order {
 		if _, gone := removedEnts[id]; gone {
 			continue
@@ -237,26 +278,42 @@ func (d *Delta) Apply(base *KB) *KB {
 			out.AddEntity(*ce)
 			continue
 		}
-		out.AddEntity(*base.entities[id])
+		e := *base.entities[id]
+		e.Mentions = e.Mentions[:len(e.Mentions):len(e.Mentions)]
+		e.Types = e.Types[:len(e.Types):len(e.Types)]
+		recs = append(recs, e)
+		out.entities[id] = &recs[len(recs)-1]
+		out.order = append(out.order, id)
 	}
 	for i := range d.AddedEntities {
 		out.AddEntity(d.AddedEntities[i])
-	}
-	for i := range base.facts {
-		if _, gone := removed[keyOf[i]]; gone {
-			continue
-		}
-		f := base.facts[i]
-		if uf, ok := upgraded[keyOf[i]]; ok {
-			f = *uf
-		}
-		f.Objects = append([]Value(nil), f.Objects...)
-		out.AddFact(f)
 	}
 	for i := range d.Added {
 		f := d.Added[i]
 		f.Objects = append([]Value(nil), f.Objects...)
 		out.AddFact(f)
+	}
+	return out
+}
+
+// remapPostings carries a field index over to Apply's renumbered facts:
+// every posting list keeps its surviving entries, in order, under their
+// new indices, and a list left empty is dropped.
+func remapPostings(idx map[string][]int, newIdx []int) map[string][]int {
+	out := make(map[string][]int, len(idx))
+	for k, posts := range idx {
+		var kept []int
+		for _, p := range posts {
+			if q := newIdx[p]; q >= 0 {
+				if kept == nil {
+					kept = make([]int, 0, len(posts))
+				}
+				kept = append(kept, q)
+			}
+		}
+		if kept != nil {
+			out[k] = kept
+		}
 	}
 	return out
 }

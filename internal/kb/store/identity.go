@@ -142,7 +142,10 @@ func appendValueText(buf []byte, v Value) []byte {
 // evidence arrived in:
 //
 //	e <id> name=<quoted> emerging=<bool> mentions=[a b] types=[x y]
-func appendEntityLine(buf []byte, e *EntityRecord) []byte {
+//
+// The lists are sorted in *scratch, a buffer the caller reuses across
+// lines, so the record itself is never touched.
+func appendEntityLine(buf []byte, scratch *[]string, e *EntityRecord) []byte {
 	buf = append(buf, "e "...)
 	buf = append(buf, e.ID...)
 	buf = append(buf, " name="...)
@@ -150,14 +153,17 @@ func appendEntityLine(buf []byte, e *EntityRecord) []byte {
 	buf = append(buf, " emerging="...)
 	buf = strconv.AppendBool(buf, e.Emerging)
 	buf = append(buf, " mentions="...)
-	buf = appendSortedList(buf, e.Mentions)
+	buf = appendSortedList(buf, scratch, e.Mentions)
 	buf = append(buf, " types="...)
-	return appendSortedList(buf, e.Types)
+	return appendSortedList(buf, scratch, e.Types)
 }
 
-// appendSortedList appends a sorted copy of xs as "[a b c]".
-func appendSortedList(buf []byte, xs []string) []byte {
-	sorted := slices.Sorted(slices.Values(xs))
+// appendSortedList appends xs in sorted order as "[a b c]", sorting a
+// copy held in *scratch.
+func appendSortedList(buf []byte, scratch *[]string, xs []string) []byte {
+	sorted := append((*scratch)[:0], xs...)
+	slices.Sort(sorted)
+	*scratch = sorted
 	buf = append(buf, '[')
 	for i, x := range sorted {
 		if i > 0 {
@@ -168,8 +174,12 @@ func appendSortedList(buf []byte, xs []string) []byte {
 	return append(buf, ']')
 }
 
-// lineHasher hashes fingerprint lines through one reused buffer.
-type lineHasher struct{ buf []byte }
+// lineHasher hashes fingerprint lines through one reused line buffer and
+// one reused list-sorting buffer.
+type lineHasher struct {
+	buf    []byte
+	sorted []string
+}
 
 func (h *lineHasher) fact(f *Fact) Identity {
 	h.buf = appendFactLine(h.buf[:0], f)
@@ -177,7 +187,7 @@ func (h *lineHasher) fact(f *Fact) Identity {
 }
 
 func (h *lineHasher) entity(e *EntityRecord) Identity {
-	h.buf = appendEntityLine(h.buf[:0], e)
+	h.buf = appendEntityLine(h.buf[:0], &h.sorted, e)
 	return hashLine(h.buf)
 }
 
@@ -226,6 +236,116 @@ func (t *Tree) Identity() (id Identity, facts, entities int) {
 		id = id.Add(h.entity(&merged[i]))
 	}
 	return id, facts, len(merged)
+}
+
+// segIdentity is a segment's own content identity with its counts.
+type segIdentity struct {
+	id              Identity
+	facts, entities int
+}
+
+// identity returns the identity of the KB the segment alone
+// materializes to — one hash per fact and entity record — computed on
+// first use and memoized, so a segment is hashed once however many
+// compaction checks it takes part in.
+func (s *Segment) identity() segIdentity {
+	if m := s.ident.Load(); m != nil {
+		return *m
+	}
+	d := s.payload()
+	var h lineHasher
+	m := segIdentity{facts: len(d.facts), entities: len(d.ents)}
+	for i := range d.facts {
+		m.id = m.id.Add(h.fact(&d.facts[i]))
+	}
+	for i := range d.ents {
+		m.id = m.id.Add(h.entity(&d.ents[i]))
+	}
+	s.ident.Store(&m)
+	return m
+}
+
+// spanIdentity returns what Tree.Identity returns for a tree of exactly
+// these runs, from the runs' memoized own identities: a fact key or
+// entity ID one run holds contributes that run's record as is, so only
+// those several runs hold are hashed again — each holder's record
+// subtracted, the folded record added. Finding them is a k-way walk of
+// the runs' sorted key and entity indices, with no hashing.
+func spanIdentity(runs []*treeNode) segIdentity {
+	var out segIdentity
+	for _, r := range runs {
+		m := r.seg.identity()
+		out.id = out.id.Add(m.id)
+		out.facts += m.facts
+		out.entities += m.entities
+	}
+	if len(runs) < 2 {
+		return out
+	}
+	var h lineHasher
+	c := (&Tree{runs: runs}).ScanPrefix("")
+	for min := c.head(); min >= 0; min = c.head() {
+		key, holders := c.keys[min], 0
+		for i := min; i < len(runs); i++ {
+			if c.valid[i] && c.keys[i] == key {
+				holders++
+			}
+		}
+		if holders == 1 {
+			c.advance(min)
+			continue
+		}
+		for i := min; i < len(runs); i++ {
+			if c.valid[i] && c.keys[i] == key {
+				out.id = out.id.Sub(h.fact(c.facts[i]))
+			}
+		}
+		_, f, _ := c.Next()
+		out.id = out.id.Add(h.fact(&f))
+		out.facts -= holders - 1
+	}
+
+	ds := make([]*segData, len(runs))
+	pos := make([]int, len(runs)) // next entSorted position per run
+	for i, r := range runs {
+		ds[i] = r.seg.payload()
+	}
+	at := func(i int) *EntityRecord { return &ds[i].ents[ds[i].entSorted[pos[i]]] }
+	for {
+		min := -1
+		for i := range ds {
+			if pos[i] < len(ds[i].entSorted) && (min < 0 || at(i).ID < at(min).ID) {
+				min = i
+			}
+		}
+		if min < 0 {
+			return out
+		}
+		eid, holders := at(min).ID, 0
+		var first *EntityRecord
+		var merged EntityRecord
+		for i := min; i < len(ds); i++ {
+			if pos[i] == len(ds[i].entSorted) || at(i).ID != eid {
+				continue
+			}
+			e := at(i)
+			pos[i]++
+			switch holders++; holders {
+			case 1:
+				first = e
+				continue
+			case 2:
+				merged = copyEntity(first)
+				out.id = out.id.Sub(h.entity(first))
+			}
+			out.id = out.id.Sub(h.entity(e))
+			unionEntity(&merged, e)
+		}
+		if holders > 1 {
+			out.id = out.id.Add(h.entity(&merged))
+			out.entities -= holders - 1
+		}
+	}
 }
 
 // FoldIdentity returns the identity of next = d.Apply(base) from base's

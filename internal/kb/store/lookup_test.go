@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -161,5 +163,73 @@ func TestTreeLookupAfterRemove(t *testing.T) {
 	}
 	if kb := tr.Materialize(); kb.Len() != 2 {
 		t.Fatalf("materialized %d facts after removal, want 2", kb.Len())
+	}
+}
+
+// TestTreeLookupEntityMatchesMaterialized: over randomized trees with
+// evictions and loose runs, every entity ID the trees have held
+// resolves through the per-run entity indices to exactly the record
+// Materialize holds — or to nothing once its last document is gone — and
+// an ID never added resolves to nothing. The same holds after every
+// segment is demoted, so each index is rebuilt by a codec decode (leaves)
+// or a re-merge (partial merges) as the lookup faults it back in.
+func TestTreeLookupEntityMatchesMaterialized(t *testing.T) {
+	check := func(tr *Tree, want *KB, ids map[string]bool, label string) {
+		t.Helper()
+		for id := range ids {
+			got, ok := tr.LookupEntity(id)
+			w := want.Entity(id)
+			if ok != (w != nil) {
+				t.Fatalf("%s: LookupEntity(%s) found=%v, materialized has it: %v", label, id, ok, w != nil)
+			}
+			if ok && !reflect.DeepEqual(got, *w) {
+				t.Fatalf("%s: LookupEntity(%s) = %+v, materialized %+v", label, id, got, *w)
+			}
+		}
+		if _, ok := tr.LookupEntity("E-never"); ok {
+			t.Fatalf("%s: an ID never added resolved", label)
+		}
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(700 + seed))
+		fx := &treeFixture{tree: NewTree(nil)}
+		ids := map[string]bool{}
+		for step := 0; step < 80; step++ {
+			switch r := rng.Intn(10); {
+			case r < 4 || len(fx.shards) < 2:
+				doc := fmt.Sprintf("doc%03d", fx.next)
+				kb := wideShard(rng, doc)
+				for _, e := range kb.Entities() {
+					ids[e.ID] = true
+				}
+				fx.pushShard(doc, kb)
+			case r < 7:
+				fx.appendLoose(rng)
+				for _, e := range fx.shards[len(fx.shards)-1].Entities() {
+					ids[e.ID] = true
+				}
+			default:
+				fx.remove(rng.Intn(len(fx.shards)))
+			}
+		}
+		check(fx.tree, fx.tree.Materialize(), ids, fmt.Sprintf("seed %d", seed))
+	}
+
+	for seed := int64(0); seed < 4; seed++ {
+		tree, ref, blobs := buildDemotableTree(t, seed, 24)
+		want := ref.Materialize()
+		ids := map[string]bool{}
+		for _, s := range ref.AllSegments() {
+			for _, e := range s.Entities() {
+				ids[e.ID] = true
+			}
+		}
+		if demoteAll(tree) == 0 {
+			t.Fatal("nothing demoted")
+		}
+		check(tree, want, ids, fmt.Sprintf("demoted seed %d", seed))
+		if blobs.loads == 0 {
+			t.Fatalf("demoted seed %d: no lookup faulted a leaf back through the codec", seed)
+		}
 	}
 }

@@ -215,16 +215,23 @@ func (c *TreeCursor) advance(i int) {
 	c.keys[i], c.facts[i], c.valid[i] = c.runs[i].Next()
 }
 
-// Next yields the next key's winning fact, or ok=false at the end of the
-// range. Runs are few (O(log W)), so the per-step minimum is a linear
-// scan over the cursor heads.
-func (c *TreeCursor) Next() (key string, f Fact, ok bool) {
+// head returns the oldest run whose cursor holds the smallest pending
+// key, or -1 when every run is exhausted.
+func (c *TreeCursor) head() int {
 	min := -1
 	for i := range c.runs {
 		if c.valid[i] && (min < 0 || c.keys[i] < c.keys[min]) {
 			min = i
 		}
 	}
+	return min
+}
+
+// Next yields the next key's winning fact, or ok=false at the end of the
+// range. Runs are few (O(log W)), so the per-step minimum is a linear
+// scan over the cursor heads.
+func (c *TreeCursor) Next() (key string, f Fact, ok bool) {
+	min := c.head()
 	if min < 0 {
 		return "", Fact{}, false
 	}

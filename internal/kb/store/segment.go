@@ -24,6 +24,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +55,10 @@ type segData struct {
 	posOrd  []int32
 
 	ents []EntityRecord // first-seen order; Mentions/Types owned
+	// entSorted holds entity indices ordered by ID — the binary-search
+	// index for Tree.LookupEntity and the join index for merging. Filled
+	// by every constructor: seal, merge and blob decode.
+	entSorted []int32
 
 	bytes int // approximate resident heap footprint
 }
@@ -135,6 +140,24 @@ func (d *segData) buildPOS() {
 	}
 }
 
+// buildEntIndex derives the entity ID index from the payload's records.
+func (d *segData) buildEntIndex() {
+	d.entSorted = make([]int32, len(d.ents))
+	for i := range d.entSorted {
+		d.entSorted[i] = int32(i)
+	}
+	slices.SortFunc(d.entSorted, func(a, b int32) int { return strings.Compare(d.ents[a].ID, d.ents[b].ID) })
+}
+
+// entity returns the index in ents of the record for id, or -1.
+func (d *segData) entity(id string) int {
+	i := sort.Search(len(d.entSorted), func(i int) bool { return d.ents[d.entSorted[i]].ID >= id })
+	if i < len(d.entSorted) && d.ents[d.entSorted[i]].ID == id {
+		return int(d.entSorted[i])
+	}
+	return -1
+}
+
 // segClock is a process-wide access tick used to order segments for LRU
 // demotion (see Segment.LastUse).
 var segClock atomic.Uint64
@@ -164,6 +187,9 @@ type Segment struct {
 
 	data    atomic.Pointer[segData]
 	lastUse atomic.Uint64 // segClock tick of the most recent payload access
+	// ident memoizes the segment's own content identity (see identity);
+	// content is immutable, so it survives demotion.
+	ident atomic.Pointer[segIdentity]
 
 	// loadMu serializes faults and guards load.
 	loadMu sync.Mutex
@@ -289,6 +315,7 @@ func segDataBytes(d *segData) int {
 		n += 16 + len(k)
 	}
 	n += 8 * len(d.posFact) // posFact + posOrd
+	n += 4 * len(d.entSorted)
 	for i := range d.ents {
 		e := &d.ents[i]
 		n += 80 + len(e.ID) + len(e.Name)
@@ -340,6 +367,7 @@ func SealSegment(kb *KB, id string) *Segment {
 	for _, eid := range kb.order {
 		d.ents = append(d.ents, copyEntity(kb.entities[eid]))
 	}
+	d.buildEntIndex()
 	return (&Segment{id: id, docs: 1}).seal(d)
 }
 
@@ -536,22 +564,37 @@ func MergeSegments(a, b *Segment) *Segment {
 	}
 
 	// Entities: a's records first (deep copies), b's unioned in with
-	// first-seen mention/type order preserved — AddEntity semantics.
+	// first-seen mention/type order preserved — AddEntity semantics. A b
+	// record finds a's through a's ID index; the merged index
+	// interleaves a's with the novel b records' (already in ID order in
+	// b's index).
 	out.ents = make([]EntityRecord, len(ad.ents), len(ad.ents)+len(bd.ents))
-	idx := make(map[string]int, len(ad.ents)+len(bd.ents))
 	for i := range ad.ents {
 		out.ents[i] = copyEntity(&ad.ents[i])
-		idx[ad.ents[i].ID] = i
 	}
-	for i := range bd.ents {
-		be := &bd.ents[i]
-		if j, ok := idx[be.ID]; ok {
-			unionEntity(&out.ents[j], be)
+	bEnt := make([]int32, len(bd.ents)) // out index per b record
+	for j := range bd.ents {
+		if i := ad.entity(bd.ents[j].ID); i >= 0 {
+			unionEntity(&out.ents[i], &bd.ents[j])
+			bEnt[j] = int32(i)
 			continue
 		}
-		idx[be.ID] = len(out.ents)
-		out.ents = append(out.ents, copyEntity(be))
+		bEnt[j] = int32(len(out.ents))
+		out.ents = append(out.ents, copyEntity(&bd.ents[j]))
 	}
+	out.entSorted = make([]int32, 0, len(out.ents))
+	ai = 0
+	for _, j := range bd.entSorted {
+		if bEnt[j] < int32(len(ad.ents)) {
+			continue // unioned into a's record, already indexed
+		}
+		for ai < len(ad.entSorted) && ad.ents[ad.entSorted[ai]].ID < bd.ents[j].ID {
+			out.entSorted = append(out.entSorted, ad.entSorted[ai])
+			ai++
+		}
+		out.entSorted = append(out.entSorted, bEnt[j])
+	}
+	out.entSorted = append(out.entSorted, ad.entSorted[ai:]...)
 	m := (&Segment{
 		id:        combineSegmentIDs(a.id, b.id),
 		docs:      a.docs + b.docs,

@@ -434,12 +434,13 @@ func cloneIndex(idx map[string][]int) map[string][]int {
 func (kb *KB) Fingerprint() string {
 	lines := make([]string, 0, len(kb.facts)+len(kb.order))
 	var buf []byte
+	var sorted []string
 	for i := range kb.facts {
 		buf = appendFactLine(buf[:0], &kb.facts[i])
 		lines = append(lines, string(buf))
 	}
 	for _, id := range kb.order {
-		buf = appendEntityLine(buf[:0], kb.entities[id])
+		buf = appendEntityLine(buf[:0], &sorted, kb.entities[id])
 		lines = append(lines, string(buf))
 	}
 	sort.Strings(lines)

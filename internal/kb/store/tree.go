@@ -209,6 +209,44 @@ func (t *Tree) CompactContext(ctx context.Context) (compacted *Tree, changed boo
 	return &Tree{runs: runs, merge: t.merge}, true
 }
 
+// CompactionPreserves reports whether compacted, derived from t by
+// CompactContext, holds the same content as t, at the cost of what the
+// compaction merged rather than of the whole tree. The two run lists
+// are walked together: a run compacted shares with t by pointer is
+// skipped, and every other run must cover exactly a span of t's runs
+// (same lo/hi bounds and leaf count) and match that span in Identity,
+// fact count and entity count. A segment's own identity is hashed once
+// and memoized, and a span's folds its runs' (see spanIdentity), so a
+// check hashes the merged runs it has not seen before and little else.
+//
+// Runs fold oldest-first, so a tree's content is fixed by the content
+// of the spans it is cut into: equal spans make equal trees. The check
+// is therefore at least as strict as comparing whole-tree identities,
+// and stricter where it matters — a span that differs is a broken merge
+// even where a run outside it would hide the damage in the whole tree.
+func (t *Tree) CompactionPreserves(compacted *Tree) bool {
+	old, i := t.runs, 0
+	for _, n := range compacted.runs {
+		if i < len(old) && old[i] == n {
+			i++
+			continue
+		}
+		j, leaves := i, 0
+		for j < len(old) && old[j].hi <= n.hi {
+			leaves += old[j].leaves
+			j++
+		}
+		if j == i || old[i].lo != n.lo || old[j-1].hi != n.hi || leaves != n.leaves {
+			return false
+		}
+		if spanIdentity(old[i:j]) != n.seg.identity() {
+			return false
+		}
+		i = j
+	}
+	return i == len(old)
+}
+
 // Remove evicts the leaf with arrival sequence seq. No merging happens:
 // the run containing the leaf is split back into its retained children
 // along the path to the leaf, re-exposing the sibling partial merges as
@@ -285,23 +323,22 @@ func (t *Tree) Lookup(key string) (*Fact, bool) {
 
 // LookupEntity returns the merged entity record for id across the tree's
 // runs (mention and type unions in first-seen order), as the
-// materialized KB would hold it.
+// materialized KB would hold it: one binary search of each run's entity
+// index, O(R · log n) for R runs.
 func (t *Tree) LookupEntity(id string) (EntityRecord, bool) {
 	var out EntityRecord
 	found := false
 	for _, r := range t.runs {
-		ents := r.seg.payload().ents
-		for i := range ents {
-			e := &ents[i]
-			if e.ID != id {
-				continue
-			}
-			if !found {
-				out, found = copyEntity(e), true
-			} else {
-				unionEntity(&out, e)
-			}
-			break
+		d := r.seg.payload()
+		i := d.entity(id)
+		if i < 0 {
+			continue
+		}
+		e := &d.ents[i]
+		if !found {
+			out, found = copyEntity(e), true
+		} else {
+			unionEntity(&out, e)
 		}
 	}
 	return out, found

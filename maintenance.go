@@ -90,10 +90,12 @@ func (m *Maintainer) published(v uint64, snap *Snapshot, looseRuns int) {
 }
 
 // compact is the deferred-compaction job body: replay the equal-weight
-// merge rule over the pinned snapshot's tree, verify content identity,
-// and offer the result back to the session. Every step tolerates
-// supersession — a cancelled merge abandons cleanly, and an adoption
-// against a stale snapshot is refused by the session itself.
+// merge rule over the pinned snapshot's tree, verify that the merged
+// runs hold what the runs they replaced held — O(merged facts and
+// entities), not O(window) — and offer the result back to the session.
+// Every step tolerates supersession — a cancelled merge abandons
+// cleanly, and an adoption against a stale snapshot is refused by the
+// session itself.
 func (m *Maintainer) compact(ctx context.Context, snap *Snapshot) error {
 	compacted, changed := snap.tree.CompactContext(ctx)
 	if err := ctx.Err(); err != nil {
@@ -103,12 +105,13 @@ func (m *Maintainer) compact(ctx context.Context, snap *Snapshot) error {
 	if !changed {
 		return nil
 	}
-	// Identity check against the uncompacted source: segment merging is
-	// associative in content and layout, so any divergence here means a
-	// broken merge function — refuse to publish it. The compacted tree's
-	// identity and counts stream from its runs (no KB is materialized);
-	// the snapshot's were folded from its deltas as it was published.
-	if contentOf(compacted) != snap.content {
+	// Content check against the uncompacted source, at the cost of what
+	// the compaction merged: every run it replaced must match the span
+	// of source runs it covers in identity and counts (runs it kept are
+	// shared by pointer and skipped). Segment merging is associative in
+	// content and layout, so any divergence here means a broken merge
+	// function — refuse to publish it.
+	if !snap.tree.CompactionPreserves(compacted) {
 		m.count(CounterMaintVerifyFails, 1)
 		return fmt.Errorf("qkbfly: maintenance: compacted tree diverges from snapshot at version %d", snap.version)
 	}

@@ -205,3 +205,114 @@ func TestMaintCompactBackstopBoundsRuns(t *testing.T) {
 		t.Fatal("backstop-compacted KB differs from inline-compaction build")
 	}
 }
+
+// corruptBuilder is maintBuilder whose merge function — the one the
+// session's tree compacts with — breaks its output. Each document also
+// names a shared "corpus" entity after itself, so folding two runs in
+// the wrong order changes the merged record's name, and gives it a
+// mention of its own, which a merge that drops one loses.
+type corruptBuilder struct {
+	maintBuilder
+	corrupt func(a, b *store.Segment) *store.Segment
+}
+
+func (c corruptBuilder) BuildShardsContext(ctx context.Context, docs []*nlp.Document, opts ...Option) ([]*store.KB, *BuildStats, error) {
+	shards, bs, err := c.maintBuilder.BuildShardsContext(ctx, docs, opts...)
+	for i, kb := range shards {
+		kb.AddEntity(store.EntityRecord{ID: "corpus", Name: docs[i].ID, Mentions: []string{"corpus " + docs[i].ID}})
+	}
+	return shards, bs, err
+}
+
+func (c corruptBuilder) MergeSegments(a, b *store.Segment) *store.Segment { return c.corrupt(a, b) }
+
+// resealed merges a and b correctly, then reseals the result with edit
+// applied to its facts and entity records.
+func resealed(a, b *store.Segment, edit func(facts []store.Fact, ents []store.EntityRecord) ([]store.Fact, []store.EntityRecord)) *store.Segment {
+	m := store.MergeSegments(a, b)
+	kb := store.MaterializeRuns([]*store.Segment{m})
+	var ents []store.EntityRecord
+	for _, e := range kb.Entities() {
+		rec := *e
+		rec.Mentions = append([]string(nil), e.Mentions...)
+		ents = append(ents, rec)
+	}
+	facts, ents := edit(append([]store.Fact(nil), kb.Facts()...), ents)
+	out := store.New()
+	for _, e := range ents {
+		out.AddEntity(e)
+	}
+	for _, f := range facts {
+		out.AddFact(f)
+	}
+	return store.SealSegment(out, m.ID())
+}
+
+// TestMaintRefusesCorruptCompaction: a maintainer whose compactions go
+// through a broken merge — one that drops a fact, swaps its inputs, or
+// drops an entity mention — fails verification on every job and never
+// swaps the session's snapshot: the published trees stay loose, and the
+// content matches a session built with the correct merge.
+func TestMaintRefusesCorruptCompaction(t *testing.T) {
+	corruptions := map[string]func(a, b *store.Segment) *store.Segment{
+		"drop-fact": func(a, b *store.Segment) *store.Segment {
+			return resealed(a, b, func(facts []store.Fact, ents []store.EntityRecord) ([]store.Fact, []store.EntityRecord) {
+				return facts[1:], ents
+			})
+		},
+		"swap-inputs": func(a, b *store.Segment) *store.Segment { return store.MergeSegments(b, a) },
+		"drop-mention": func(a, b *store.Segment) *store.Segment {
+			return resealed(a, b, func(facts []store.Fact, ents []store.EntityRecord) ([]store.Fact, []store.EntityRecord) {
+				for i := range ents {
+					if n := len(ents[i].Mentions); n > 0 {
+						ents[i].Mentions = ents[i].Mentions[:n-1]
+						break
+					}
+				}
+				return facts, ents
+			})
+		},
+	}
+	ctx := context.Background()
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			counters := stats.NewCounterSet()
+			sc := sched.New(sched.Options{Counters: counters})
+			defer sc.Close()
+			s := Open(corruptBuilder{corrupt: corrupt}, SessionOptions{DeferCompaction: true, Counters: counters})
+			defer s.Close()
+			m := NewMaintainer(s, sc, MaintainerOptions{Counters: counters})
+			defer m.Close()
+			plain := Open(corruptBuilder{corrupt: store.MergeSegments}, SessionOptions{})
+			defer plain.Close()
+
+			const n = 12 // below compactionDebt: no inline backstop merges
+			for i := 0; i < n; i++ {
+				published, _, err := s.Ingest(ctx, maintDocs(1, i))
+				if err != nil {
+					t.Fatalf("ingest %d: %v", i, err)
+				}
+				if _, _, err := plain.Ingest(ctx, maintDocs(1, i)); err != nil {
+					t.Fatalf("plain ingest %d: %v", i, err)
+				}
+				sc.Drain() // the version's job has verified and been refused
+				if s.Snapshot() != published {
+					t.Fatalf("ingest %d: the published snapshot was swapped", i)
+				}
+			}
+			if got := counters.Get(CounterMaintVerifyFails); got == 0 {
+				t.Fatal("no corrupted compaction failed verification")
+			}
+			if got := counters.Get(CounterMaintCompactions); got != 0 {
+				t.Fatalf("%d corrupted compactions were adopted", got)
+			}
+			snap := s.Snapshot()
+			if got := snap.Tree().RunCount(); got != n {
+				t.Fatalf("tree has %d runs, want %d loose leaves", got, n)
+			}
+			if snap.Fingerprint() != plain.Snapshot().Fingerprint() {
+				t.Fatal("session content differs from the correctly merged build")
+			}
+		})
+	}
+}
