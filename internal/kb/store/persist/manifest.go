@@ -1,10 +1,9 @@
-// Manifest encoding: the mutable half of the durable store. The manifest
-// is a single append-only log of checksummed, length-framed records; all
-// mutable state (which documents are live, at which arrival sequences,
-// backed by which blobs) lives here, while the fact payloads live in
-// immutable content-addressed blobs. Recovery is a forward scan that
-// stops at the first torn frame or unverifiable blob reference — the
-// surviving prefix IS the last complete version.
+// Manifest encoding: manifest.log is the only file the store writes. It
+// is a single log of checksummed, length-framed records holding both the
+// segment blobs and the mutable state (which documents are live, at
+// which arrival sequences, backed by which blobs). Recovery is a forward
+// scan that stops at the first torn frame or unverifiable blob reference
+// — the surviving prefix IS the last complete version.
 //
 // Frame layout:
 //
@@ -12,21 +11,30 @@
 //
 // Record payloads (first byte is the kind):
 //
+//	'B' blob — the blob's hex SHA-256, then its store.EncodeSegment
+//	    bytes. A version's new blobs are appended ahead of its 'V' record
+//	    in the same write, so a 'V' is complete only if they are.
 //	'V' version delta — version, nextSeq, added docs (key, seq, blob
 //	    hash), removed arrival sequences. One per published session
 //	    version.
-//	'C' checkpoint — version, nextSeq, the full live document list.
-//	    Appended every CheckpointEvery version records so recovery replays
-//	    a bounded suffix.
+//	'C' checkpoint — version, nextSeq, the full live document list. Every
+//	    CheckpointEvery version records the log is rewritten to one 'B'
+//	    per blob still needed followed by one 'C', so recovery replays at
+//	    most one checkpoint interval and the log holds the live window
+//	    plus that interval.
 //	'I' seal — a checkpoint plus the sealed version's content identity
-//	    (store.Identity, hex). Written by a graceful shutdown; its
-//	    presence at the manifest tail is what makes the next boot a
+//	    (store.Identity, hex). A graceful shutdown rewrites the log ending
+//	    in one; its presence at the tail is what makes the next boot a
 //	    *verified* warm restart.
 //	'S' legacy seal — a checkpoint plus the SHA-256 of the sealed
 //	    version's fingerprint text, as stores sealed before the identity
 //	    scheme wrote it. Nothing writes it any more; recovery reads it as
 //	    a checkpoint, since its digest cannot be checked against an
 //	    identity, so such a store boots as after an unclean shutdown.
+//
+// Stores written before blobs were inlined kept each blob in its own
+// file, blobs/<sha256>, with no 'B' records; recovery reads such a hash
+// from there (see Store.recover).
 package persist
 
 import (
@@ -34,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 )
 
 // docRef names one live document: its session key, tree arrival
@@ -47,13 +54,15 @@ type docRef struct {
 
 // record is one decoded manifest record.
 type record struct {
-	kind    byte     // 'V', 'C', 'I' or 'S'
+	kind    byte     // 'B', 'V', 'C', 'I' or 'S'
 	version uint64   // session version after this record
 	nextSeq uint64   // session arrival-sequence watermark after this record
 	adds    []docRef // 'V': documents added by this version
 	dels    []uint64 // 'V': arrival sequences removed by this version
 	docs    []docRef // 'C'/'I'/'S': full live document list
 	seal    string   // 'I': hex identity; 'S': hex SHA-256 of the fingerprint text
+	hash    string   // 'B': hex SHA-256 of blob
+	blob    []byte   // 'B': encoded segment (aliases the scanned buffer)
 }
 
 const frameHeaderLen = 12 // length(4) + checksum(8)
@@ -69,45 +78,62 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func fnvSum(b []byte) uint64 {
+// appendFrame appends one frame whose payload is the concatenation of
+// parts.
+func appendFrame(dst []byte, parts ...[]byte) []byte {
 	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	n := 0
+	for _, p := range parts {
+		h.Write(p)
+		n += len(p)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint64(dst, h.Sum64())
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
+// appendBlobFrame appends a 'B' record; the blob bytes are the frame's
+// last len(blob) bytes.
+func appendBlobFrame(dst []byte, hash string, blob []byte) []byte {
+	return appendFrame(dst, appendString([]byte{'B'}, hash), blob)
+}
+
+func appendDocRefs(p []byte, refs []docRef) []byte {
+	p = appendUvarint(p, uint64(len(refs)))
+	for _, d := range refs {
+		p = appendString(p, d.Key)
+		p = appendUvarint(p, d.Seq)
+		p = appendString(p, d.Hash)
+	}
+	return p
 }
 
 // encodeRecord frames a record for appending to the manifest.
 func encodeRecord(r *record) []byte {
+	if r.kind == 'B' {
+		return appendBlobFrame(nil, r.hash, r.blob)
+	}
 	p := make([]byte, 0, 64)
 	p = append(p, r.kind)
 	p = appendUvarint(p, r.version)
 	p = appendUvarint(p, r.nextSeq)
 	switch r.kind {
 	case 'V':
-		p = appendUvarint(p, uint64(len(r.adds)))
-		for _, a := range r.adds {
-			p = appendString(p, a.Key)
-			p = appendUvarint(p, a.Seq)
-			p = appendString(p, a.Hash)
-		}
+		p = appendDocRefs(p, r.adds)
 		p = appendUvarint(p, uint64(len(r.dels)))
 		for _, d := range r.dels {
 			p = appendUvarint(p, d)
 		}
 	case 'C', 'I', 'S':
-		p = appendUvarint(p, uint64(len(r.docs)))
-		for _, d := range r.docs {
-			p = appendString(p, d.Key)
-			p = appendUvarint(p, d.Seq)
-			p = appendString(p, d.Hash)
-		}
+		p = appendDocRefs(p, r.docs)
 		if r.kind != 'C' {
 			p = appendString(p, r.seal)
 		}
 	}
-	out := make([]byte, 0, frameHeaderLen+len(p))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
-	out = binary.LittleEndian.AppendUint64(out, fnvSum(p))
-	return append(out, p...)
+	return appendFrame(make([]byte, 0, frameHeaderLen+len(p)), p)
 }
 
 // recReader decodes a record payload sequentially; the first failure
@@ -118,12 +144,15 @@ type recReader struct {
 	err error
 }
 
+// uvarint reads one minimally encoded uvarint: an overlong encoding
+// (a multi-byte one ending in a zero byte) is rejected, so every
+// accepted record re-encodes to the bytes it was read from.
 func (r *recReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.buf[r.pos+n-1] == 0) {
 		r.err = errTorn
 		return 0
 	}
@@ -131,9 +160,19 @@ func (r *recReader) uvarint() uint64 {
 	return v
 }
 
+// count reads a list length, which cannot exceed the payload's size.
+func (r *recReader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.buf)) {
+		r.err = errTorn
+		return 0
+	}
+	return int(n)
+}
+
 func (r *recReader) string() string {
-	n := int(r.uvarint())
-	if r.err != nil || n < 0 || r.pos+n > len(r.buf) {
+	n := r.count()
+	if r.err != nil || r.pos+n > len(r.buf) {
 		r.err = errTorn
 		return ""
 	}
@@ -142,9 +181,9 @@ func (r *recReader) string() string {
 	return s
 }
 
-func (r *recReader) docRefs(n int) []docRef {
-	if r.err != nil || n > len(r.buf) {
-		r.err = errTorn
+func (r *recReader) docRefs() []docRef {
+	n := r.count()
+	if r.err != nil {
 		return nil
 	}
 	out := make([]docRef, 0, n)
@@ -154,27 +193,33 @@ func (r *recReader) docRefs(n int) []docRef {
 	return out
 }
 
-// decodeRecord parses one checksum-verified payload.
+// decodeRecord parses one checksum-verified payload. A 'B' record's blob
+// aliases p.
 func decodeRecord(p []byte) (*record, error) {
 	if len(p) == 0 {
 		return nil, errTorn
 	}
 	rec := &record{kind: p[0]}
 	r := &recReader{buf: p, pos: 1}
+	if rec.kind == 'B' {
+		rec.hash = r.string()
+		if r.err != nil {
+			return nil, r.err
+		}
+		rec.blob = p[r.pos:]
+		return rec, nil
+	}
 	rec.version = r.uvarint()
 	rec.nextSeq = r.uvarint()
 	switch rec.kind {
 	case 'V':
-		rec.adds = r.docRefs(int(r.uvarint()))
-		nd := int(r.uvarint())
-		if r.err != nil || nd > len(p) {
-			return nil, errTorn
-		}
-		for i := 0; i < nd; i++ {
+		rec.adds = r.docRefs()
+		nd := r.count()
+		for i := 0; i < nd && r.err == nil; i++ {
 			rec.dels = append(rec.dels, r.uvarint())
 		}
 	case 'C', 'I', 'S':
-		rec.docs = r.docRefs(int(r.uvarint()))
+		rec.docs = r.docRefs()
 		if rec.kind != 'C' {
 			rec.seal = r.string()
 		}
@@ -190,37 +235,34 @@ func decodeRecord(p []byte) (*record, error) {
 	return rec, nil
 }
 
-// scanManifest reads records from the start of r, returning the decoded
-// records and, per record, the byte offset just past its frame (so the
-// caller can truncate the file to the end of any accepted prefix). A torn
-// tail (short frame, checksum mismatch, undecodable payload) ends the
-// scan without error.
-func scanManifest(r io.Reader) (recs []*record, ends []int64, torn bool, err error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, false, err
-	}
+// scanManifest decodes records from the start of buf, returning them
+// and, per record, the byte offset just past its frame (so the caller
+// can truncate the log to the end of any accepted prefix). A torn tail
+// (short frame, checksum mismatch, undecodable payload) ends the scan.
+func scanManifest(buf []byte) (recs []*record, ends []int64, torn bool) {
 	off := 0
 	for off < len(buf) {
 		if off+frameHeaderLen > len(buf) {
-			return recs, ends, true, nil
+			return recs, ends, true
 		}
 		plen := int(binary.LittleEndian.Uint32(buf[off : off+4]))
 		sum := binary.LittleEndian.Uint64(buf[off+4 : off+12])
 		if off+frameHeaderLen+plen > len(buf) {
-			return recs, ends, true, nil
+			return recs, ends, true
 		}
 		p := buf[off+frameHeaderLen : off+frameHeaderLen+plen]
-		if fnvSum(p) != sum {
-			return recs, ends, true, nil
+		h := fnv.New64a()
+		h.Write(p)
+		if h.Sum64() != sum {
+			return recs, ends, true
 		}
-		rec, derr := decodeRecord(p)
-		if derr != nil {
-			return recs, ends, true, nil
+		rec, err := decodeRecord(p)
+		if err != nil {
+			return recs, ends, true
 		}
 		recs = append(recs, rec)
 		off += frameHeaderLen + plen
 		ends = append(ends, int64(off))
 	}
-	return recs, ends, false, nil
+	return recs, ends, false
 }

@@ -1,38 +1,43 @@
 // Package persist is the durable, content-addressed segment store behind
 // qkbflyd's warm restarts. Sealed leaf segments are serialized once
 // (store.EncodeSegment) into immutable blobs named by the SHA-256 of
-// their bytes; a single append-only manifest (manifest.go) records, per
-// published session version, which blobs are live and at which arrival
-// sequences. The split follows the LSST chunk/manifest design: all bulk
-// data is immutable and content-addressed, all mutation is a tiny
-// fsynced log append.
+// their bytes. Blobs and state share one log (manifest.go): per
+// published session version, the version's new blobs and then a record
+// naming which blobs are live and at which arrival sequences, appended
+// with one write and one fsync. The split follows the LSST
+// chunk/manifest design: bulk data is immutable and content-addressed,
+// and the store scales with its live partitions, not with its history —
+// every CheckpointEvery versions the log is rewritten down to the blobs
+// still needed.
 //
 // Durability stays off the ingest hot path: Publish only enqueues; a
-// background writeback goroutine encodes blobs, fsyncs them, appends the
-// manifest record, and then sweeps cold segments down to the memory
-// budget (Polynesia-style background writeback over immutable
-// snapshots). Crash consistency comes from ordering alone — a blob is
-// fully durable before any record references it, and each record is
-// fsynced before the next is written — so after any crash the manifest's
-// intact prefix describes a complete, loadable version.
+// background writeback goroutine encodes blobs, appends and fsyncs them
+// with the version record, and then sweeps cold segments down to the
+// memory budget (Polynesia-style background writeback over immutable
+// snapshots). Crash consistency comes from ordering alone — a version's
+// blobs precede its record in the log, each write is fsynced before the
+// next, and a rewrite reaches the log only by an fsynced rename — so
+// after any crash the log's intact prefix describes a complete, loadable
+// version.
 //
 // Only leaf (per-document) blobs are ever written. Partial merges
 // rehydrate by re-merging their children (store.MergeSegments arms every
-// merged segment with a self-healing loader), so the blob store stays
-// proportional to the corpus, not to the merge tree.
+// merged segment with a self-healing loader), so the log stays
+// proportional to the live corpus, not to the merge tree.
 package persist
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"qkbfly/internal/kb/store"
 )
@@ -44,8 +49,10 @@ type Options struct {
 	// writeback the least-recently-used segments demote to disk until the
 	// total fits. 0 disables demotion (everything stays resident).
 	MemoryBudget int
-	// CheckpointEvery inserts a full-state checkpoint record after this
-	// many version records, bounding recovery replay. Default 256.
+	// CheckpointEvery rewrites the log after this many version records
+	// to one blob record per blob still needed and one checkpoint, so
+	// recovery replays at most this many versions and the log holds the
+	// live window plus one interval. Default 256.
 	CheckpointEvery int
 	// Logf receives recovery and quarantine warnings. Default log.Printf.
 	Logf func(format string, args ...any)
@@ -102,44 +109,50 @@ type addJob struct {
 	seg *store.Segment
 }
 
+// blobLoc is where a blob's bytes sit in the log.
+type blobLoc struct {
+	off int64
+	n   int
+}
+
 // Store is a durable segment store rooted at one data directory:
 //
-//	<dir>/blobs/<sha256>     content-addressed encoded segments
-//	<dir>/manifest.log       append-only version/checkpoint/seal records
-//	<dir>/quarantine/        corrupt blobs moved aside during recovery
+//	<dir>/manifest.log       blob, version, checkpoint and seal records
+//	<dir>/quarantine/        log tails recovery dropped, set aside
 //
 // One Store owns its directory exclusively (qkbflyd opens exactly one).
 type Store struct {
-	dir      string
-	opt      Options
-	manifest *os.File
+	dir string
+	opt Options
+
+	// logMu guards the log handle and the blob index: loaders read blobs
+	// while writeback appends, and a rewrite swaps both. Only the
+	// writeback goroutine (and Open, before it starts) changes them, so
+	// it reads them without the lock.
+	logMu sync.RWMutex
+	log   *os.File
+	index map[string]blobLoc // blob hash → its bytes in the log
 
 	jobs chan job
 	wg   sync.WaitGroup
 
-	// Writeback-goroutine state (no locking needed): the live document
-	// mirror the next checkpoint snapshots, and the version record count
-	// since the last checkpoint.
+	// Writeback-goroutine state (no locking needed): the log's length,
+	// the live document mirror the next checkpoint writes, the version
+	// record count since the last checkpoint, and, per blob hash, the
+	// segments whose loaders read it (weakly: a rewrite keeps a blob that
+	// is not live while one of them is still reachable and demoted).
+	size       int64
 	docs       []docRef
 	version    uint64
 	nextSeq    uint64
 	sinceCheck int
+	armed      map[string][]weak.Pointer[store.Segment]
 
 	// latestTree is the most recent published tree — Counters reads it
 	// for the resident-bytes gauge while the writeback goroutine updates
 	// it, hence the lock.
 	treeMu     sync.Mutex
 	latestTree *store.Tree
-
-	// segHash maps a durable segment to its blob hash, so checkpoint
-	// records can name restored segments' blobs.
-	hashMu  sync.Mutex
-	segHash map[*store.Segment]string
-
-	// pack is the recovery-time blob cache loaded from the pack file
-	// (nil outside recovery; recover() drops it when done). It is only
-	// touched before the writeback goroutine starts, so no locking.
-	pack map[string][]byte
 
 	closed atomic.Bool
 
@@ -154,18 +167,18 @@ type Store struct {
 	quarantined    atomic.Int64
 	records        atomic.Int64
 	checkpoints    atomic.Int64
+	rewriteBytes   atomic.Int64
 	recoveredVer   atomic.Int64
 	recoveredDocs  atomic.Int64
 	droppedRecords atomic.Int64
-	packBytes      atomic.Int64
-	packHits       atomic.Int64
 }
 
 // Open opens (or initializes) a data directory, runs recovery, and
 // starts the writeback goroutine. The returned Recovered describes the
 // last complete persisted version (empty for a fresh directory); wire it
 // into qkbfly.Restore to warm-start a session, and pass the Store as the
-// session's Persistence to keep persisting.
+// session's Persistence to keep persisting. Demoted segments fault in
+// through the open Store: materialize what you need before Close.
 func Open(dir string, opt Options) (*Store, *Recovered, error) {
 	if opt.CheckpointEvery <= 0 {
 		opt.CheckpointEvery = 256
@@ -173,41 +186,25 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 	if opt.Logf == nil {
 		opt.Logf = log.Printf
 	}
-	for _, sub := range []string{"", "blobs", "quarantine"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, nil, err
+	if err := os.MkdirAll(filepath.Join(dir, "quarantine"), 0o755); err != nil {
+		return nil, nil, err
+	}
+	// A crash inside a write leaves its temp file behind: a log rewrite's,
+	// or an older layout's blob or pack.
+	for _, pat := range []string{"manifest.log.tmp", ".tmp-pack-*", filepath.Join("blobs", ".tmp-blob-*")} {
+		stray, _ := filepath.Glob(filepath.Join(dir, pat))
+		for _, p := range stray {
+			_ = os.Remove(p) // nothing reads them; a leftover only costs space
 		}
 	}
-	s := &Store{dir: dir, opt: opt, jobs: make(chan job, queueDepth)}
-
-	rec, goodEnd, err := s.recover()
+	s := &Store{dir: dir, opt: opt, jobs: make(chan job, queueDepth),
+		armed: make(map[string][]weak.Pointer[store.Segment])}
+	rec, err := s.recover()
 	if err != nil {
-		return nil, nil, err
-	}
-
-	f, err := os.OpenFile(s.manifestPath(), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Truncate away the torn tail (and any records recovery rejected) so
-	// future appends extend a clean prefix.
-	if fi, err := f.Stat(); err == nil && fi.Size() > goodEnd {
-		if err := f.Truncate(goodEnd); err != nil {
-			f.Close()
-			return nil, nil, err
+		if s.log != nil {
+			s.log.Close()
 		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
 		return nil, nil, err
-	}
-	s.manifest = f
-
-	// Seed the writeback mirror from the recovered state.
-	s.version = rec.Version
-	s.nextSeq = rec.NextSeq
-	for _, d := range rec.Docs {
-		s.docs = append(s.docs, docRef{Key: d.Key, Seq: d.Seq, Hash: s.hashOf(d.Seg)})
 	}
 	s.recoveredVer.Store(int64(rec.Version))
 	s.recoveredDocs.Store(int64(len(rec.Docs)))
@@ -218,19 +215,14 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 	return s, rec, nil
 }
 
-func (s *Store) manifestPath() string     { return filepath.Join(s.dir, "manifest.log") }
-func (s *Store) blobPath(h string) string { return filepath.Join(s.dir, "blobs", h) }
-func (s *Store) quarPath(h string) string { return filepath.Join(s.dir, "quarantine", h) }
+func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.log") }
+
+// legacyBlobPath is where a store written before blobs were inlined kept
+// a blob.
+func (s *Store) legacyBlobPath(h string) string { return filepath.Join(s.dir, "blobs", h) }
 
 // Dir returns the store's data directory.
 func (s *Store) Dir() string { return s.dir }
-
-// hashOf retrieves the blob hash recovery stamped on a restored segment.
-func (s *Store) hashOf(seg *store.Segment) string {
-	s.hashMu.Lock()
-	defer s.hashMu.Unlock()
-	return s.segHash[seg]
-}
 
 // Publish implements the session Persistence hook: it records one
 // published version for asynchronous writeback. Called under the session
@@ -258,9 +250,10 @@ func (s *Store) Flush() {
 	<-done
 }
 
-// Seal flushes and appends a seal record carrying the current version's
-// content identity, making the next boot a verified warm restart. Call
-// it at graceful shutdown, after the session stops publishing.
+// Seal flushes and rewrites the log ending in a seal record carrying the
+// current version's content identity, making the next boot a verified
+// warm restart. Call it at graceful shutdown, after the session stops
+// publishing.
 func (s *Store) Seal(id store.Identity) {
 	if s.closed.Load() {
 		return
@@ -278,12 +271,13 @@ func (s *Store) Close() error {
 	}
 	close(s.jobs)
 	s.wg.Wait()
-	return s.manifest.Close()
+	return s.log.Close()
 }
 
 // Counters returns a snapshot of the store's activity counters, suitable
-// for /stats. resident_bytes is a point-in-time gauge over the latest
-// published tree.
+// for /stats. blob_bytes counts blobs appended for new content and
+// rewrite_bytes the blob bytes checkpoint rewrites copied forward.
+// resident_bytes is a point-in-time gauge over the latest published tree.
 func (s *Store) Counters() map[string]int64 {
 	m := map[string]int64{
 		"blobs_written":     s.blobsWritten.Load(),
@@ -296,11 +290,10 @@ func (s *Store) Counters() map[string]int64 {
 		"quarantined":       s.quarantined.Load(),
 		"manifest_records":  s.records.Load(),
 		"checkpoints":       s.checkpoints.Load(),
+		"rewrite_bytes":     s.rewriteBytes.Load(),
 		"recovered_version": s.recoveredVer.Load(),
 		"recovered_docs":    s.recoveredDocs.Load(),
 		"dropped_records":   s.droppedRecords.Load(),
-		"pack_bytes":        s.packBytes.Load(),
-		"pack_hits":         s.packHits.Load(),
 	}
 	if t := s.treeSnapshot(); t != nil {
 		var resident int64
@@ -331,11 +324,7 @@ func (s *Store) writeback() {
 	for j := range s.jobs {
 		switch {
 		case j.seal != nil:
-			s.appendRecord(&record{kind: 'I', version: s.version, nextSeq: s.nextSeq,
-				docs: append([]docRef(nil), s.docs...), seal: j.seal.Hex()})
-			// A seal marks a clean shutdown: rewrite the pack so the next
-			// boot recovers the whole corpus in one sequential read.
-			s.writePack(s.docs)
+			s.checkpoint(&record{kind: 'I', seal: j.seal.Hex()})
 			close(j.done)
 		case j.done != nil:
 			close(j.done) // flush barrier: everything before it is durable
@@ -345,41 +334,60 @@ func (s *Store) writeback() {
 	}
 }
 
-// writeVersion makes one published version durable.
+func blobHash(blob []byte) string {
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:])
+}
+
+// writeVersion makes one published version durable: its new blobs and
+// its record in one write and one fsync. Re-publishing content the log
+// already holds (the common case for re-ingested documents) appends no
+// blob: content addressing is the dedup.
 func (s *Store) writeVersion(j job) {
 	rec := &record{kind: 'V', version: j.version, nextSeq: j.nextSeq, dels: j.dels}
+	var buf []byte
+	fresh := make(map[string]blobLoc, len(j.adds))
+	written := int64(0)
 	for _, a := range j.adds {
-		h, err := s.writeBlob(a.seg)
-		if err != nil {
-			// Disk trouble mid-writeback: warn and stop persisting this
-			// version (recovery will land on the previous one). Subsequent
-			// versions would be inconsistent without this one's blobs, so
-			// this is deliberately loud.
-			s.opt.Logf("persist: writing blob for %q: %v (version %d not persisted)", a.key, err, j.version)
-			return
+		blob := store.EncodeSegment(a.seg)
+		h := blobHash(blob)
+		_, old := s.index[h]
+		_, dup := fresh[h]
+		if old || dup {
+			s.blobsReused.Add(1)
+		} else {
+			buf = appendBlobFrame(buf, h, blob)
+			fresh[h] = blobLoc{off: s.size + int64(len(buf)-len(blob)), n: len(blob)}
+			written += int64(len(blob))
 		}
 		rec.adds = append(rec.adds, docRef{Key: a.key, Seq: a.seq, Hash: h})
-		// The blob is durable and verified: the segment may now demote.
-		s.armLoader(a.seg, h)
 	}
-	if err := s.appendRecord(rec); err != nil {
-		s.opt.Logf("persist: appending manifest record for version %d: %v", j.version, err)
+	if err := s.appendLog(append(buf, encodeRecord(rec)...)); err != nil {
+		// Disk trouble mid-writeback: warn and stop persisting this
+		// version (recovery will land on the previous one). Subsequent
+		// versions would be inconsistent without this one's blobs, so
+		// this is deliberately loud.
+		s.opt.Logf("persist: appending version %d: %v (version not persisted)", j.version, err)
 		return
+	}
+	s.records.Add(1)
+	s.blobsWritten.Add(int64(len(fresh)))
+	s.blobBytes.Add(written)
+	if len(fresh) > 0 {
+		s.logMu.Lock()
+		for h, l := range fresh {
+			s.index[h] = l
+		}
+		s.logMu.Unlock()
+	}
+	// The blobs are durable: the segments may now demote.
+	for i, a := range j.adds {
+		s.arm(a.seg, rec.adds[i].Hash)
 	}
 	// Update the live mirror: apply dels, then adds (matching session
 	// order is irrelevant — seqs are unique).
 	if len(j.dels) > 0 {
-		gone := make(map[uint64]bool, len(j.dels))
-		for _, d := range j.dels {
-			gone[d] = true
-		}
-		kept := s.docs[:0]
-		for _, d := range s.docs {
-			if !gone[d.Seq] {
-				kept = append(kept, d)
-			}
-		}
-		s.docs = kept
+		s.docs = removeSeqs(s.docs, j.dels)
 	}
 	s.docs = append(s.docs, rec.adds...)
 	s.version = j.version
@@ -388,65 +396,178 @@ func (s *Store) writeVersion(j job) {
 
 	s.sinceCheck++
 	if s.sinceCheck >= s.opt.CheckpointEvery {
-		if err := s.appendRecord(&record{kind: 'C', version: s.version, nextSeq: s.nextSeq,
-			docs: append([]docRef(nil), s.docs...)}); err == nil {
-			s.checkpoints.Add(1)
-			s.sinceCheck = 0
-		}
+		s.checkpoint(&record{kind: 'C'})
 	}
 	s.demoteToBudget(j.tree)
 }
 
-// appendRecord frames, appends and fsyncs one manifest record.
-func (s *Store) appendRecord(rec *record) error {
-	if _, err := s.manifest.Write(encodeRecord(rec)); err != nil {
+// removeSeqs drops the documents with the given arrival sequences, in
+// place.
+func removeSeqs(docs []docRef, seqs []uint64) []docRef {
+	gone := make(map[uint64]bool, len(seqs))
+	for _, d := range seqs {
+		gone[d] = true
+	}
+	kept := docs[:0]
+	for _, d := range docs {
+		if !gone[d.Seq] {
+			kept = append(kept, d)
+		}
+	}
+	return kept
+}
+
+// appendLog writes b at the end of the log and fsyncs it. On failure it
+// cuts the log back, so a later append does not land behind a partial
+// frame.
+func (s *Store) appendLog(b []byte) error {
+	_, err := s.log.WriteAt(b, s.size)
+	if err == nil {
+		err = s.log.Sync()
+	}
+	if err != nil {
+		_ = s.log.Truncate(s.size) // best effort: recovery cuts a torn tail anyway
 		return err
 	}
-	if err := s.manifest.Sync(); err != nil {
-		return err
-	}
-	s.records.Add(1)
+	s.size += int64(len(b))
 	return nil
 }
 
-// writeBlob persists one leaf segment as a content-addressed blob and
-// returns its hash. Re-publishing identical content (the common case for
-// re-ingested documents) is a hit on the existing blob: content
-// addressing is the dedup.
-func (s *Store) writeBlob(seg *store.Segment) (string, error) {
-	blob := store.EncodeSegment(seg)
-	sum := sha256.Sum256(blob)
-	h := hex.EncodeToString(sum[:])
-	path := s.blobPath(h)
-	if _, err := os.Stat(path); err == nil {
-		s.blobsReused.Add(1)
-		return h, nil
+// checkpoint rewrites the log ending in term (a checkpoint or a seal
+// over the live documents). Should the rewrite fail, term is appended
+// instead: replay stays bounded and a seal is still recorded, though the
+// log keeps its history until a later rewrite succeeds.
+func (s *Store) checkpoint(term *record) {
+	s.sinceCheck = 0
+	err := s.rewrite(term, s.readBlob)
+	if err == nil {
+		return
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-blob-*")
+	s.opt.Logf("persist: rewriting the log at version %d: %v (appending the %c record instead)", s.version, err, term.kind)
+	if err := s.appendLog(encodeRecord(term)); err != nil {
+		s.opt.Logf("persist: appending %c record for version %d: %v", term.kind, s.version, err)
+		return
+	}
+	s.records.Add(1)
+	s.checkpoints.Add(1)
+}
+
+// rewrite replaces the log with one 'B' record per blob still needed
+// followed by term, filled in with the live state. It writes
+// manifest.log.tmp, fsyncs it, renames it over the log and syncs the
+// directory, so a crash at any step leaves either the old log or the new
+// one, each ending in a complete version. read supplies a blob's bytes;
+// each is checked against its address while being copied, so a rotted
+// blob is never re-framed under a fresh checksum.
+func (s *Store) rewrite(term *record, read func(h string) ([]byte, error)) (err error) {
+	term.version, term.nextSeq, term.docs = s.version, s.nextSeq, s.docs
+	tmp := s.manifestPath() + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
-		return "", err
+		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		return "", err
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	w := bufio.NewWriterSize(f, 256<<10)
+	keep := s.neededBlobs()
+	index := make(map[string]blobLoc, len(keep))
+	var frame []byte
+	off, copied := int64(0), int64(0)
+	for _, h := range keep {
+		blob, err := read(h)
+		if err != nil {
+			return err
+		}
+		if blobHash(blob) != h {
+			return fmt.Errorf("blob %s: content hash mismatch", h[:12])
+		}
+		frame = appendBlobFrame(frame[:0], h, blob)
+		if _, err := w.Write(frame); err != nil {
+			return err
+		}
+		off += int64(len(frame))
+		index[h] = blobLoc{off: off - int64(len(blob)), n: len(blob)}
+		copied += int64(len(blob))
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", err
+	frame = encodeRecord(term)
+	if _, err := w.Write(frame); err != nil {
+		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return "", err
+	off += int64(len(frame))
+	if err := w.Flush(); err != nil {
+		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return "", err
+	if err := f.Sync(); err != nil {
+		return err
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return "", err
+	if err := os.Rename(tmp, s.manifestPath()); err != nil {
+		return err
 	}
-	s.blobsWritten.Add(1)
-	s.blobBytes.Add(int64(len(blob)))
-	return h, nil
+	// From here on the new log is the log; a failed directory sync only
+	// leaves the rename's durability to the file system's next commit.
+	if err := syncDir(s.dir); err != nil {
+		s.opt.Logf("persist: syncing %s after rewriting the log: %v", s.dir, err)
+	}
+	s.logMu.Lock()
+	old := s.log
+	s.log, s.index = f, index
+	s.logMu.Unlock()
+	if old != nil {
+		old.Close()
+	}
+	s.size = off
+	s.records.Add(1)
+	s.checkpoints.Add(1)
+	s.rewriteBytes.Add(copied)
+	for h, ws := range s.armed {
+		if _, ok := index[h]; !ok {
+			delete(s.armed, h)
+			continue
+		}
+		live := ws[:0]
+		for _, p := range ws {
+			if p.Value() != nil {
+				live = append(live, p)
+			}
+		}
+		s.armed[h] = live
+	}
+	return nil
+}
+
+// neededBlobs lists the blobs a rewrite must keep: every live
+// document's, in arrival order, then (sorted) any other blob a segment
+// that is still reachable and demoted can fault in — under a memory
+// budget a segment demoted while live stays reachable after its eviction
+// from retained history trees and subscribers' snapshots. A segment
+// still resident then is never demoted again (demotion sweeps only the
+// latest tree, whose leaves are all live), so its blob may go.
+func (s *Store) neededBlobs() []string {
+	seen := make(map[string]bool, len(s.docs))
+	var keep, extra []string
+	for _, d := range s.docs {
+		if !seen[d.Hash] {
+			seen[d.Hash] = true
+			keep = append(keep, d.Hash)
+		}
+	}
+	for h, ws := range s.armed {
+		if seen[h] {
+			continue
+		}
+		for _, p := range ws {
+			if seg := p.Value(); seg != nil && !seg.Resident() {
+				extra = append(extra, h)
+				break
+			}
+		}
+	}
+	sort.Strings(extra)
+	return append(keep, extra...)
 }
 
 // syncDir fsyncs a directory so a renamed-in file's directory entry is
@@ -460,47 +581,51 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// armLoader attaches the read-back loader to a now-durable segment and
-// registers its hash.
-func (s *Store) armLoader(seg *store.Segment, h string) {
-	s.hashMu.Lock()
-	s.segHash[seg] = h
-	s.hashMu.Unlock()
+// arm attaches the read-back loader to a segment whose blob is durable.
+func (s *Store) arm(seg *store.Segment, h string) {
 	seg.AttachLoader(s.loader(h))
+	s.armed[h] = append(s.armed[h], weak.Make(seg))
+}
+
+// readBlob reads a blob's bytes from the log.
+func (s *Store) readBlob(h string) ([]byte, error) {
+	s.logMu.RLock()
+	defer s.logMu.RUnlock()
+	l, ok := s.index[h]
+	if !ok {
+		return nil, fmt.Errorf("persist: blob %s is not in the log", h[:12])
+	}
+	b := make([]byte, l.n)
+	if _, err := s.log.ReadAt(b, l.off); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // loader returns the fault-in function for a blob: read, verify, decode.
-// A corrupt blob is quarantined with a warning and reported as an error —
-// for a leaf there is no rebuilding the payload from a dead document, so
-// the fault escalates (store.Segment panics), but the blob itself is
-// preserved aside for inspection rather than silently served.
+// A corrupt blob is reported as an error with a warning — for a leaf
+// there is no rebuilding the payload from a dead document, so the fault
+// escalates (store.Segment panics) rather than serving bad content; the
+// next boot's recovery sets the damaged log tail aside.
 func (s *Store) loader(h string) func() (*store.Segment, error) {
 	return func() (*store.Segment, error) {
-		blob, err := os.ReadFile(s.blobPath(h))
+		blob, err := s.readBlob(h)
 		if err != nil {
 			return nil, err
 		}
-		if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != h {
-			s.quarantine(h, "content hash mismatch")
+		if blobHash(blob) != h {
+			s.opt.Logf("persist: blob %s corrupt in the log (content hash mismatch)", h[:12])
 			return nil, fmt.Errorf("persist: blob %s corrupt (content hash mismatch)", h[:12])
 		}
 		seg, err := store.DecodeSegment(blob)
 		if err != nil {
-			s.quarantine(h, err.Error())
+			s.opt.Logf("persist: blob %s corrupt in the log: %v", h[:12], err)
 			return nil, fmt.Errorf("persist: blob %s corrupt: %w", h[:12], err)
 		}
 		s.blobsLoaded.Add(1)
 		s.loadBytes.Add(int64(len(blob)))
 		return seg, nil
 	}
-}
-
-// quarantine moves a corrupt blob aside (never deletes it) and warns.
-func (s *Store) quarantine(h, reason string) {
-	if err := os.Rename(s.blobPath(h), s.quarPath(h)); err == nil {
-		s.quarantined.Add(1)
-	}
-	s.opt.Logf("persist: quarantined corrupt blob %s: %s", h[:12], reason)
 }
 
 // demoteToBudget sweeps the latest tree's segments, least recently used
@@ -533,32 +658,23 @@ func (s *Store) demoteToBudget(t *store.Tree) {
 	}
 }
 
-// recover scans the manifest, verifies every referenced blob's header,
-// and reconstructs the last complete version. goodEnd is the manifest
-// offset after the last record recovery accepted; everything past it is
-// truncated by Open.
-func (s *Store) recover() (*Recovered, int64, error) {
-	s.segHash = make(map[*store.Segment]string)
-	s.pack = s.loadPack()
-	defer func() { s.pack = nil }() // decoded payloads copy out of it
-	rec := &Recovered{}
-	f, err := os.Open(s.manifestPath())
-	if os.IsNotExist(err) {
-		return rec, 0, nil
+// recover scans the log, verifies every referenced blob end to end, and
+// reconstructs the last complete version. It leaves the log open,
+// truncated to the last record it accepted (what it drops is first
+// copied to quarantine/), and seeds the writeback state from it. A
+// directory in the layout before blobs were inlined is converted: its
+// blobs are rewritten into the log, and blobs/ and pack are removed.
+func (s *Store) recover() (*Recovered, error) {
+	buf, err := os.ReadFile(s.manifestPath())
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	recs, ends, torn, err := scanManifest(f)
-	f.Close()
-	if err != nil {
-		return nil, 0, err
-	}
+	recs, ends, torn := scanManifest(buf)
 	if torn {
 		s.opt.Logf("persist: manifest has a torn tail; recovering the intact prefix")
 	}
 
-	// Replay forward, verifying (and decoding) each newly-referenced blob
+	// Replay forward, verifying (and decoding) each newly referenced blob
 	// once. The first bad record ends the replay: the state before it is
 	// the last complete version.
 	var (
@@ -566,54 +682,74 @@ func (s *Store) recover() (*Recovered, int64, error) {
 		version uint64
 		nextSeq uint64
 		seal    *record // the seal record the replay ended on, if any
-		// verified marks blobs that passed full-content verification;
-		// decoded holds the resident segment the verification pass produced
-		// (claimed by at most one recovered document below).
-		verified = make(map[string]bool)
-		decoded  = make(map[string]*store.Segment)
-		end      = int64(0)
-		dropped  = 0
+		// inline locates the 'B' records read so far. blobs holds the
+		// bytes of every blob that passed full-content verification and
+		// decoded the segment that pass produced (claimed by at most one
+		// recovered document below).
+		inline  = make(map[string]blobLoc)
+		blobs   = make(map[string][]byte)
+		decoded = make(map[string]*store.Segment)
+		legacy  = false
+		end     = int64(0)
+		dropped = 0
 	)
 	verify := func(refs []docRef) bool {
 		for _, d := range refs {
-			if verified[d.Hash] {
+			if _, ok := blobs[d.Hash]; ok {
 				continue
 			}
-			seg, ok := s.verifyBlob(d.Hash)
-			if !ok {
+			var (
+				blob []byte
+				err  error
+			)
+			l, isInline := inline[d.Hash]
+			if isInline {
+				blob = buf[l.off : l.off+int64(l.n)]
+			} else if blob, err = os.ReadFile(s.legacyBlobPath(d.Hash)); err != nil {
+				s.opt.Logf("persist: blob %s missing: %v", short(d.Hash), err)
 				return false
 			}
-			verified[d.Hash] = true
-			decoded[d.Hash] = seg
+			var seg *store.Segment
+			if blobHash(blob) != d.Hash {
+				err = fmt.Errorf("content hash mismatch")
+			} else {
+				seg, err = store.DecodeSegment(blob)
+			}
+			if err != nil {
+				s.opt.Logf("persist: blob %s corrupt: %v", short(d.Hash), err)
+				if !isInline {
+					// Set a corrupt blob file aside before the conversion
+					// below removes blobs/.
+					if os.Rename(s.legacyBlobPath(d.Hash), filepath.Join(s.dir, "quarantine", d.Hash)) == nil {
+						s.quarantined.Add(1)
+					}
+				}
+				return false
+			}
+			legacy = legacy || !isInline
+			blobs[d.Hash], decoded[d.Hash] = blob, seg
 		}
 		return true
 	}
 replay:
 	for i, r := range recs {
 		switch r.kind {
+		case 'B':
+			inline[r.hash] = blobLoc{off: ends[i] - int64(len(r.blob)), n: len(r.blob)}
+			continue // a blob completes no version
 		case 'V':
 			if !verify(r.adds) {
-				dropped = len(recs) - i
+				dropped = countVersions(recs[i:])
 				break replay
 			}
 			if len(r.dels) > 0 {
-				gone := make(map[uint64]bool, len(r.dels))
-				for _, d := range r.dels {
-					gone[d] = true
-				}
-				kept := docs[:0]
-				for _, d := range docs {
-					if !gone[d.Seq] {
-						kept = append(kept, d)
-					}
-				}
-				docs = kept
+				docs = removeSeqs(docs, r.dels)
 			}
 			docs = append(docs, r.adds...)
 			version, nextSeq, seal = r.version, r.nextSeq, nil
 		case 'C', 'I', 'S':
 			if !verify(r.docs) {
-				dropped = len(recs) - i
+				dropped = countVersions(recs[i:])
 				break replay
 			}
 			docs = append(docs[:0], r.docs...)
@@ -627,8 +763,31 @@ replay:
 	if dropped > 0 {
 		s.opt.Logf("persist: dropped %d manifest record(s) referencing missing or corrupt blobs; recovered to version %d", dropped, version)
 	}
+	// Blobs past end go with the tail: a later version must append them
+	// again rather than reference bytes the truncation removes.
+	for h, l := range inline {
+		if l.off >= end {
+			delete(inline, h)
+		}
+	}
+	if int64(len(buf)) > end {
+		if err := s.quarantineTail(buf[end:], end); err != nil {
+			return nil, fmt.Errorf("persist: setting aside the log tail at offset %d: %w", end, err)
+		}
+	}
+	f, err := os.OpenFile(s.manifestPath(), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	s.log, s.index, s.size = f, inline, end
+	if int64(len(buf)) > end {
+		if err := f.Truncate(end); err != nil {
+			return nil, err
+		}
+	}
+	s.docs, s.version, s.nextSeq = docs, version, nextSeq
 
-	rec.Version, rec.NextSeq, rec.Dropped = version, nextSeq, dropped
+	rec := &Recovered{Version: version, NextSeq: nextSeq, Dropped: dropped}
 	switch {
 	case seal != nil && seal.kind == 'S':
 		// A store sealed before the identity scheme: its digest of the
@@ -644,23 +803,33 @@ replay:
 	}
 	for _, d := range docs {
 		// First claimant of a blob gets the segment verification already
-		// decoded; further documents sharing the same content (dedup) get
-		// their own demoted segment, so tree membership stays one segment
-		// per document.
+		// decoded; further documents sharing the same content (dedup)
+		// decode their own, so tree membership stays one segment per
+		// document.
 		seg := decoded[d.Hash]
 		if seg != nil {
 			delete(decoded, d.Hash)
-			seg.AttachLoader(s.loader(d.Hash))
-		} else {
-			var err error
-			if seg, err = s.openDemoted(d.Hash); err != nil {
-				// The blob verified moments ago; losing it now is a racing
-				// disk failure — surface loudly.
-				return nil, 0, fmt.Errorf("persist: reopening blob %s: %w", d.Hash[:12], err)
-			}
+		} else if seg, err = store.DecodeSegment(blobs[d.Hash]); err != nil {
+			return nil, fmt.Errorf("persist: decoding blob %s: %w", short(d.Hash), err)
 		}
-		s.segHash[seg] = d.Hash
+		s.arm(seg, d.Hash)
 		rec.Docs = append(rec.Docs, RecoveredDoc{Key: d.Key, Seq: d.Seq, Seg: seg})
+	}
+	if legacy {
+		term := &record{kind: 'C'}
+		if seal != nil {
+			term.kind, term.seal = seal.kind, seal.seal
+		}
+		if err := s.rewrite(term, func(h string) ([]byte, error) { return blobs[h], nil }); err != nil {
+			return nil, fmt.Errorf("persist: moving blobs into the log: %w", err)
+		}
+	}
+	// Every blob the log needs is in it now.
+	if err := os.RemoveAll(filepath.Join(s.dir, "blobs")); err != nil {
+		return nil, err
+	}
+	if err := os.Remove(filepath.Join(s.dir, "pack")); err != nil && !os.IsNotExist(err) {
+		return nil, err
 	}
 	// Under a memory budget a warm boot must not hold the whole corpus
 	// resident: demote oldest-arrival segments until the rest fit.
@@ -680,66 +849,50 @@ replay:
 			}
 		}
 	}
-	// Open truncates the manifest to end: torn tails and dropped records
-	// are discarded so future appends extend a clean prefix.
-	return rec, end, nil
+	return rec, nil
 }
 
-// verifyBlob checks, at recovery time, that a referenced blob exists,
-// matches its content address end to end, and decodes cleanly — and
-// returns the decoded resident segment, since the expensive part (the
-// read and the hash) is already paid. Full verification here is what
-// turns a rotted blob into a boot-time warning and a clean fall-back to
-// the previous version, instead of a fault-time panic hours later when
-// a demoted segment is first touched. Corrupt blobs are quarantined,
-// never deleted.
-func (s *Store) verifyBlob(h string) (*store.Segment, bool) {
-	// A sealed shutdown left a pack: one sequential read already holds
-	// this blob's bytes. The slice is verified against the content
-	// address exactly like a file read would be; any damage falls back
-	// to the authoritative per-blob file below.
-	if b, ok := s.pack[h]; ok {
-		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) == h {
-			if seg, err := store.DecodeSegment(b); err == nil {
-				s.packHits.Add(1)
-				return seg, true
-			}
+// countVersions counts the version-bearing records (everything but
+// blobs) in recs.
+func countVersions(recs []*record) int {
+	n := 0
+	for _, r := range recs {
+		if r.kind != 'B' {
+			n++
 		}
-		s.opt.Logf("persist: pack entry %s corrupt; falling back to blob file", h[:12])
 	}
-	blob, err := os.ReadFile(s.blobPath(h))
-	if err != nil {
-		s.opt.Logf("persist: blob %s missing: %v", h[:12], err)
-		return nil, false
-	}
-	if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != h {
-		s.quarantine(h, "content hash mismatch")
-		return nil, false
-	}
-	seg, err := store.DecodeSegment(blob)
-	if err != nil {
-		s.quarantine(h, err.Error())
-		return nil, false
-	}
-	return seg, true
+	return n
 }
 
-// openDemoted constructs a demoted segment straight from a blob's header
-// — metadata only, no payload read — with the fault-in loader attached.
-func (s *Store) openDemoted(h string) (*store.Segment, error) {
-	f, err := os.Open(s.blobPath(h))
-	if err != nil {
-		return nil, err
+// short abbreviates a blob hash for log lines.
+func short(h string) string { return h[:min(len(h), 12)] }
+
+// quarantineTail copies a log tail recovery drops to
+// quarantine/manifest-<offset> (suffixed .1, .2, ... if that exists), so
+// corrupt or torn data is set aside, never deleted.
+func (s *Store) quarantineTail(tail []byte, off int64) error {
+	base := filepath.Join(s.dir, "quarantine", fmt.Sprintf("manifest-%d", off))
+	name := base
+	for i := 1; ; i++ {
+		f, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if os.IsExist(err) {
+			name = fmt.Sprintf("%s.%d", base, i)
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		_, err = f.Write(tail)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			s.quarantined.Add(1)
+			s.opt.Logf("persist: quarantined the %d-byte log tail dropped at offset %d as %s", len(tail), off, name)
+		}
+		return err
 	}
-	defer f.Close()
-	buf := make([]byte, store.SegmentInfoPrefix)
-	n, err := io.ReadFull(f, buf)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, err
-	}
-	info, err := store.DecodeSegmentInfo(buf[:n])
-	if err != nil {
-		return nil, err
-	}
-	return store.NewDemotedSegment(info.ID, info.Docs, info.BuildTime, info.Facts, info.Ents, s.loader(h)), nil
 }

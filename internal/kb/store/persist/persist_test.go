@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"qkbfly/internal/kb/store"
@@ -17,7 +18,7 @@ import (
 // a merge tree and publishing each version, so tests can crash it at any
 // point and compare recovery against the in-memory truth.
 type sim struct {
-	t       *testing.T
+	t       testing.TB
 	store   *Store
 	tree    *store.Tree
 	version uint64
@@ -25,9 +26,12 @@ type sim struct {
 	docs    []string // live keys, arrival order
 	seqs    map[string]uint64
 	rng     *rand.Rand
+	// window, when positive, bounds the live documents: ingest evicts the
+	// oldest past it in the same version, as Session.Ingest does.
+	window int
 }
 
-func newSim(t *testing.T, s *Store, seed int64) *sim {
+func newSim(t testing.TB, s *Store, seed int64) *sim {
 	return &sim{t: t, store: s, tree: store.NewTree(nil),
 		seqs: map[string]uint64{}, rng: rand.New(rand.NewSource(seed))}
 }
@@ -49,8 +53,8 @@ func shardKB(key string, flavor int) *store.KB {
 	return kb
 }
 
-// ingest publishes one version adding the given docs (and optionally
-// evicting the oldest), mirroring Session.Ingest's Publish call.
+// ingest publishes one version adding the given docs (and evicting the
+// oldest past the window), mirroring Session.Ingest's Publish call.
 func (m *sim) ingest(keys ...string) {
 	var addKeys []string
 	var addSeqs []uint64
@@ -65,8 +69,16 @@ func (m *sim) ingest(keys ...string) {
 		addSegs = append(addSegs, seg)
 		m.nextSeq++
 	}
+	var dels []uint64
+	for m.window > 0 && len(m.docs) > m.window {
+		seq := m.seqs[m.docs[0]]
+		m.tree, _ = m.tree.Remove(seq)
+		dels = append(dels, seq)
+		delete(m.seqs, m.docs[0])
+		m.docs = m.docs[1:]
+	}
 	m.version++
-	m.store.Publish(m.version, m.nextSeq, addKeys, addSeqs, addSegs, nil, m.tree)
+	m.store.Publish(m.version, m.nextSeq, addKeys, addSeqs, addSegs, dels, m.tree)
 }
 
 // evict publishes one version removing the given docs.
@@ -109,7 +121,91 @@ func docKeys(rec *Recovered) []string {
 	return out
 }
 
-func mustOpen(t *testing.T, dir string, opt Options) (*Store, *Recovered) {
+// resumeSim continues a history from a store's recovered state.
+func resumeSim(t testing.TB, s *Store, rec *Recovered, seed int64) *sim {
+	m := newSim(t, s, seed)
+	m.tree, m.version, m.nextSeq = replayTree(rec), rec.Version, rec.NextSeq
+	for _, d := range rec.Docs {
+		m.docs = append(m.docs, d.Key)
+		m.seqs[d.Key] = d.Seq
+	}
+	return m
+}
+
+// hashOf is a segment's blob address: the SHA-256 of its encoding.
+func (s *Store) hashOf(seg *store.Segment) string { return blobHash(store.EncodeSegment(seg)) }
+
+// logFrame is one record of a log file with its frame's byte range.
+type logFrame struct {
+	rec        *record
+	start, end int64
+}
+
+// readLog returns a closed store's log and its intact frames.
+func readLog(t testing.TB, dir string) ([]byte, []logFrame) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "manifest.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, ends, _ := scanManifest(data)
+	frames := make([]logFrame, len(recs))
+	start := int64(0)
+	for i, r := range recs {
+		frames[i] = logFrame{rec: r, start: start, end: ends[i]}
+		start = ends[i]
+	}
+	return data, frames
+}
+
+// blobFrame returns the frame of the blob record whose bytes contain
+// marker.
+func blobFrame(t testing.TB, frames []logFrame, marker string) logFrame {
+	t.Helper()
+	for _, f := range frames {
+		if f.rec.kind == 'B' && strings.Contains(string(f.rec.blob), marker) {
+			return f
+		}
+	}
+	t.Fatalf("no blob record holds %q", marker)
+	return logFrame{}
+}
+
+// kinds spells the record kinds of a log, in order.
+func kinds(frames []logFrame) string {
+	var b strings.Builder
+	for _, f := range frames {
+		b.WriteByte(f.rec.kind)
+	}
+	return b.String()
+}
+
+func writeLog(t testing.TB, dir string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, "manifest.log"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// logCapture collects a store's log lines.
+type logCapture struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (c *logCapture) logf(format string, args ...any) {
+	c.mu.Lock()
+	c.lines = append(c.lines, fmt.Sprintf(format, args...))
+	c.mu.Unlock()
+}
+
+func (c *logCapture) has(substr string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return strings.Contains(strings.Join(c.lines, "\n"), substr)
+}
+
+func mustOpen(t testing.TB, dir string, opt Options) (*Store, *Recovered) {
 	t.Helper()
 	if opt.Logf == nil {
 		opt.Logf = t.Logf
@@ -330,15 +426,38 @@ func TestPersistCrashBetweenBlobAndRecord(t *testing.T) {
 	m.ingest("a")
 	s.Flush()
 	s.Close()
+	intact, _ := readLog(t, dir)
 
-	// Simulate "blob written, record never appended": drop an orphan blob
-	// in. Recovery must ignore it entirely.
+	// Simulate "blob appended, record never written": an orphan blob
+	// record at the tail. Recovery must ignore it entirely and cut it
+	// away (setting it aside).
 	orphan := store.EncodeSegment(store.SealSegment(shardKB("orphan", 1), "blob:orphan"))
-	sum := sha256.Sum256(orphan)
-	if err := os.WriteFile(filepath.Join(dir, "blobs", hex.EncodeToString(sum[:])), orphan, 0o644); err != nil {
-		t.Fatal(err)
+	writeLog(t, dir, append(append([]byte(nil), intact...), encodeRecord(&record{kind: 'B', hash: blobHash(orphan), blob: orphan})...))
+	s2, rec := mustOpen(t, dir, Options{})
+	if rec.Version != 1 || len(rec.Docs) != 1 {
+		t.Fatalf("recovered v%d with %d docs, want v1 with 1", rec.Version, len(rec.Docs))
 	}
-	reopenExpect(t, dir, 1, 1)
+	if got, _ := readLog(t, dir); len(got) != len(intact) {
+		t.Fatalf("log is %d bytes after recovery, want the intact %d", len(got), len(intact))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", fmt.Sprintf("manifest-%d", len(intact)))); err != nil {
+		t.Fatalf("dropped orphan not set aside: %v", err)
+	}
+
+	// Publishing the orphan's content for real must append its blob again,
+	// not reference the bytes the truncation removed.
+	m2 := resumeSim(t, s2, rec, 3)
+	m2.ingest("orphan") // flavor 1: the orphan's exact content
+	want := m2.tree.Materialize().Fingerprint()
+	s2.Flush()
+	if c := s2.Counters(); c["blobs_written"] != 1 || c["blobs_reused"] != 0 {
+		t.Fatalf("re-published orphan content: %v", c)
+	}
+	s2.Close()
+	rec = reopenExpect(t, dir, 2, 2)
+	if got := replayTree(rec).Materialize().Fingerprint(); got != want {
+		t.Fatal("fingerprint differs after re-publishing the orphan's content")
+	}
 }
 
 func TestPersistMissingBlobDropsVersion(t *testing.T) {
@@ -351,73 +470,78 @@ func TestPersistMissingBlobDropsVersion(t *testing.T) {
 	s.Flush()
 	s.Close()
 
-	// Delete c's blob: versions referencing it must be dropped, recovery
-	// lands on version 2 with docs a, b.
-	var victim string
-	blobs, _ := os.ReadDir(filepath.Join(dir, "blobs"))
-	for _, e := range blobs {
-		blob, _ := os.ReadFile(filepath.Join(dir, "blobs", e.Name()))
-		if strings.Contains(string(blob), "v-c") {
-			victim = e.Name()
-		}
+	// Cut c's blob record out of the log: versions referencing it must be
+	// dropped with a warning, recovery lands on version 2 with docs a, b,
+	// and the dropped tail is set aside.
+	data, frames := readLog(t, dir)
+	victim := blobFrame(t, frames, "v-c")
+	spliced := append(append([]byte(nil), data[:victim.start]...), data[victim.end:]...)
+	writeLog(t, dir, spliced)
+	var logs logCapture
+	s2, rec, err := Open(dir, Options{Logf: logs.logf})
+	if err != nil {
+		t.Fatalf("recovery errored instead of dropping the version: %v", err)
 	}
-	if victim == "" {
-		t.Fatal("c's blob not found")
+	defer s2.Close()
+	if rec.Version != 2 || fmt.Sprint(docKeys(rec)) != "[a b]" {
+		t.Fatalf("recovered v%d %v, want v2 [a b]", rec.Version, docKeys(rec))
 	}
-	if err := os.Remove(filepath.Join(dir, "blobs", victim)); err != nil {
-		t.Fatal(err)
+	if replayTree(rec).Materialize() == nil {
+		t.Fatal("materialize failed")
 	}
-	rec := reopenExpect(t, dir, 2, 2)
-	if got := fmt.Sprint(docKeys(rec)); got != "[a b]" {
-		t.Fatalf("recovered docs %s, want [a b]", got)
+	if !logs.has("missing") {
+		t.Fatalf("no warning names the missing blob; logs: %q", logs.lines)
+	}
+	tail, err := os.ReadFile(filepath.Join(dir, "quarantine", fmt.Sprintf("manifest-%d", victim.start)))
+	if err != nil || string(tail) != string(spliced[victim.start:]) {
+		t.Fatalf("dropped tail not set aside intact: %v", err)
 	}
 }
 
+// TestPersistCorruptBlobQuarantined: a rotted blob in the log — caught
+// by its frame checksum, or by its content address when the frame
+// checksum was recomputed over the damage — drops the versions that need
+// it with a warning and no panic, and the damaged bytes are set aside in
+// quarantine/, never deleted.
 func TestPersistCorruptBlobQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	var warnings []string
-	logf := func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
-	s, _ := mustOpen(t, dir, Options{})
-	m := newSim(t, s, 5)
-	m.ingest("a")
-	m.ingest("b")
-	s.Flush()
-	s.Close()
+	for _, refresh := range []bool{false, true} {
+		dir := t.TempDir()
+		s, _ := mustOpen(t, dir, Options{})
+		m := newSim(t, s, 5)
+		m.ingest("a")
+		m.ingest("b")
+		s.Flush()
+		s.Close()
 
-	// Corrupt b's blob header region: recovery must quarantine it with a
-	// warning (no panic) and land on version 1.
-	var victim string
-	blobs, _ := os.ReadDir(filepath.Join(dir, "blobs"))
-	for _, e := range blobs {
-		blob, _ := os.ReadFile(filepath.Join(dir, "blobs", e.Name()))
-		if strings.Contains(string(blob), "v-b") {
-			victim = e.Name()
-			blob[20] ^= 0xff
-			os.WriteFile(filepath.Join(dir, "blobs", e.Name()), blob, 0o644)
+		data, frames := readLog(t, dir)
+		victim := blobFrame(t, frames, "v-b")
+		blobStart := victim.end - int64(len(victim.rec.blob))
+		data[blobStart+20] ^= 0xff
+		if refresh {
+			p := data[victim.start+frameHeaderLen : victim.end]
+			copy(data[victim.start:victim.end], appendFrame(nil, p))
 		}
-	}
-	if victim == "" {
-		t.Fatal("b's blob not found")
-	}
-	s2, rec, err := Open(dir, Options{Logf: logf})
-	if err != nil {
-		t.Fatalf("recovery errored instead of quarantining: %v", err)
-	}
-	defer s2.Close()
-	if rec.Version != 1 || len(rec.Docs) != 1 {
-		t.Fatalf("recovered version=%d docs=%d, want 1/1", rec.Version, len(rec.Docs))
-	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", victim)); err != nil {
-		t.Fatalf("corrupt blob not quarantined: %v", err)
-	}
-	found := false
-	for _, w := range warnings {
-		if strings.Contains(w, "quarantined") {
-			found = true
+		writeLog(t, dir, data)
+
+		var logs logCapture
+		s2, rec, err := Open(dir, Options{Logf: logs.logf})
+		if err != nil {
+			t.Fatalf("refresh=%v: recovery errored instead of quarantining: %v", refresh, err)
 		}
-	}
-	if !found {
-		t.Fatalf("no quarantine warning logged; warnings: %v", warnings)
+		if rec.Version != 1 || len(rec.Docs) != 1 {
+			t.Fatalf("refresh=%v: recovered version=%d docs=%d, want 1/1", refresh, rec.Version, len(rec.Docs))
+		}
+		s2.Close()
+		tail, err := os.ReadFile(filepath.Join(dir, "quarantine", fmt.Sprintf("manifest-%d", victim.start)))
+		if err != nil || string(tail) != string(data[victim.start:]) {
+			t.Fatalf("refresh=%v: corrupt blob not quarantined intact: %v", refresh, err)
+		}
+		if !logs.has("quarantined") {
+			t.Fatalf("refresh=%v: no quarantine warning logged; warnings: %v", refresh, logs.lines)
+		}
+		if refresh && !logs.has("content hash mismatch") {
+			t.Fatalf("content-address check did not name the damage; warnings: %v", logs.lines)
+		}
 	}
 }
 
@@ -490,87 +614,45 @@ func TestPersistContentAddressingDedups(t *testing.T) {
 	s.Close()
 }
 
-func TestPersistPackAcceleratesAndSurvivesCorruption(t *testing.T) {
+// TestPersistSealRewritesLogToLiveWindow: a seal rewrites the log to
+// the live window alone — one blob record per live document, then the
+// seal — so the next boot reads one file holding nothing else, and
+// serves every blob from it.
+func TestPersistSealRewritesLogToLiveWindow(t *testing.T) {
 	dir := t.TempDir()
-	var warnings []string
-	logf := func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
 	s, _ := mustOpen(t, dir, Options{})
 	m := newSim(t, s, 7)
 	m.ingest("a", "b", "c")
 	m.ingest("d")
+	m.evict("a", "c")
+	m.ingest("e")
 	wantKB := m.tree.Materialize()
 	want := wantKB.Fingerprint()
 	s.Flush()
 	s.Seal(wantKB.Identity())
+	if c := s.Counters(); c["rewrite_bytes"] == 0 || c["checkpoints"] != 1 {
+		t.Fatalf("seal did not rewrite the log: %v", c)
+	}
 	s.Close()
 
-	// A sealed shutdown wrote the pack; recovery must serve every blob
-	// from it without touching the per-blob files.
-	if _, err := os.Stat(filepath.Join(dir, "pack")); err != nil {
-		t.Fatalf("seal did not write a pack: %v", err)
+	if _, frames := readLog(t, dir); kinds(frames) != "BBBI" {
+		t.Fatalf("sealed log holds records %q, want the 3 live blobs and the seal", kinds(frames))
+	}
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if e.Name() != "manifest.log" && e.Name() != "quarantine" {
+			t.Fatalf("data directory holds %s besides the log", e.Name())
+		}
 	}
 	s2, rec := mustOpen(t, dir, Options{})
-	if got := s2.Counters()["pack_hits"]; got != int64(len(rec.Docs)) {
-		t.Fatalf("pack served %d blobs, want %d", got, len(rec.Docs))
+	defer s2.Close()
+	if !rec.Sealed || rec.Identity != wantKB.Identity() {
+		t.Fatalf("sealed reopen: sealed=%v", rec.Sealed)
+	}
+	if fmt.Sprint(docKeys(rec)) != "[b d e]" {
+		t.Fatalf("recovered docs %v, want [b d e]", docKeys(rec))
 	}
 	if got := replayTree(rec).Materialize().Fingerprint(); got != want {
-		t.Fatal("pack-backed recovery fingerprint differs")
-	}
-	s2.Close()
-
-	// Corrupt one pack entry: recovery warns, falls back to the per-blob
-	// file for that entry, and still restores the full state.
-	pack, err := os.ReadFile(filepath.Join(dir, "pack"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pack[len(pack)-3] ^= 0xff
-	if err := os.WriteFile(filepath.Join(dir, "pack"), pack, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, rec3, err := Open(dir, Options{Logf: logf})
-	if err != nil {
-		t.Fatalf("recovery with corrupt pack entry errored: %v", err)
-	}
-	if len(rec3.Docs) != len(rec.Docs) || !rec3.Sealed {
-		t.Fatalf("corrupt pack entry lost state: %d docs sealed=%v", len(rec3.Docs), rec3.Sealed)
-	}
-	if got := replayTree(rec3).Materialize().Fingerprint(); got != want {
-		t.Fatal("fallback recovery fingerprint differs")
-	}
-	s3.Close()
-	found := false
-	for _, w := range warnings {
-		if strings.Contains(w, "pack entry") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no pack-fallback warning; warnings: %v", warnings)
-	}
-
-	// The reverse failure: a blob file rots but the pack copy is intact —
-	// recovery proceeds from the pack (the redundancy goes both ways).
-	// The victim is a, whose pack entry is NOT the one corrupted above.
-	var victim string
-	blobs, _ := os.ReadDir(filepath.Join(dir, "blobs"))
-	for _, e := range blobs {
-		blob, _ := os.ReadFile(filepath.Join(dir, "blobs", e.Name()))
-		if strings.Contains(string(blob), "v-a") {
-			victim = e.Name()
-			blob[20] ^= 0xff
-			os.WriteFile(filepath.Join(dir, "blobs", e.Name()), blob, 0o644)
-		}
-	}
-	if victim == "" {
-		t.Fatal("a's blob not found")
-	}
-	s4, rec4 := mustOpen(t, dir, Options{})
-	defer s4.Close()
-	if len(rec4.Docs) != len(rec.Docs) {
-		t.Fatalf("pack did not cover rotted blob file: %d docs", len(rec4.Docs))
-	}
-	if got := replayTree(rec4).Materialize().Fingerprint(); got != want {
-		t.Fatal("pack-covered recovery fingerprint differs")
+		t.Fatal("sealed reopen fingerprint differs")
 	}
 }

@@ -7,9 +7,8 @@ import (
 	"qkbfly/internal/kb/store/persist"
 )
 
-// Bootstrap restores a follower base state from a persist blob-store
-// directory (one seeded from the leader's -data-dir: copied blobs plus
-// manifest). It rebuilds the merge tree from the recovered documents,
+// Bootstrap restores a follower base state from a persist store
+// directory (one seeded from a copy of the leader's -data-dir). It rebuilds the merge tree from the recovered documents,
 // materializes the KB, and — when the manifest was sealed — verifies
 // the result's content identity against the seal, refusing a mismatched
 // base the same way qkbflyd refuses a mismatched warm boot. The
