@@ -117,7 +117,7 @@ func main() {
 		}
 		fmt.Printf("== event %d (%s): %q +%d stories -> version %d, %d docs in window, %d facts (%v)\n",
 			ev.ID, ev.Kind, q, len(bs.PerDocElapsed), snap.Version(),
-			len(sess.Docs()), snap.KB().Len(), bs.Elapsed)
+			sess.DocCount(), snap.KB().Len(), bs.Elapsed)
 		if snap.Version() != before+1 {
 			fmt.Printf("   BUG: sliding ingest published %d versions\n", snap.Version()-before)
 		}

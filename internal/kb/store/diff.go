@@ -158,9 +158,10 @@ func Diff(old, new *KB) Delta {
 // segments mention can change winners, so the walk is one point lookup
 // per candidate key or entity ID per run — a binary search of the run's
 // key or entity index, O(|changed| · R · log n) for R = O(log W) runs of
-// at most n records — instead of O(window). The session layer uses this
-// to publish each version's delta, counts and identity at sliding-ingest
-// cost.
+// at most n records — instead of O(window). A run both trees hold (they
+// share every unchanged run by pointer) is searched once for both. The
+// session layer uses this to publish each version's delta, counts and
+// identity at sliding-ingest cost.
 func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
 	var d Delta
 	var did Identity
@@ -170,9 +171,14 @@ func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
 		cp.ID = -1
 		return cp
 	}
+	runs := pairRuns(old, new)
+	facts := make([]*Fact, len(runs.segs))
 	for _, key := range candidateKeys(changed) {
-		of, oldOK := old.Lookup(key)
-		nf, newOK := new.Lookup(key)
+		for i, seg := range runs.segs {
+			facts[i], _ = seg.Lookup(key)
+		}
+		of, oldOK := foldFact(runs.old, facts)
+		nf, newOK := foldFact(runs.new, facts)
 		switch {
 		case newOK && !oldOK:
 			d.Added = append(d.Added, anon(nf))
@@ -185,9 +191,17 @@ func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
 			did = did.Add(h.fact(nf)).Sub(h.fact(of))
 		}
 	}
+	ents := make([]*EntityRecord, len(runs.segs))
 	for _, id := range candidateEntities(changed) {
-		oe, oldOK := old.LookupEntity(id)
-		ne, newOK := new.LookupEntity(id)
+		for i, seg := range runs.segs {
+			ents[i] = nil
+			p := seg.payload()
+			if j := p.entity(id); j >= 0 {
+				ents[i] = &p.ents[j]
+			}
+		}
+		oe, oldOK := foldEntity(runs.old, ents)
+		ne, newOK := foldEntity(runs.new, ents)
 		switch {
 		case newOK && !oldOK:
 			d.AddedEntities = append(d.AddedEntities, ne)
@@ -203,125 +217,73 @@ func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
 	return d, did
 }
 
+// runPair lists the distinct runs of two trees, so a lookup visits a
+// run both hold once; old and new give each tree's runs, oldest first,
+// as indices into segs.
+type runPair struct {
+	segs     []*Segment
+	old, new []int
+}
+
+func pairRuns(old, new *Tree) runPair {
+	p := runPair{
+		segs: make([]*Segment, 0, len(old.runs)+len(new.runs)),
+		old:  make([]int, len(old.runs)),
+		new:  make([]int, len(new.runs)),
+	}
+	at := make(map[*Segment]int, len(old.runs))
+	for i, r := range old.runs {
+		at[r.seg] = len(p.segs)
+		p.old[i] = len(p.segs)
+		p.segs = append(p.segs, r.seg)
+	}
+	for i, r := range new.runs {
+		j, ok := at[r.seg]
+		if !ok {
+			j = len(p.segs)
+			p.segs = append(p.segs, r.seg)
+		}
+		p.new[i] = j
+	}
+	return p
+}
+
+// foldFact folds one key's per-run hits (nil where a run lacks the key)
+// over one tree's runs, as Tree.Lookup does.
+func foldFact(runs []int, hits []*Fact) (*Fact, bool) {
+	var w factWinner
+	for _, i := range runs {
+		if hits[i] != nil {
+			w.add(hits[i])
+		}
+	}
+	return w.result()
+}
+
+// foldEntity folds one entity ID's per-run records over one tree's runs,
+// as Tree.LookupEntity does.
+func foldEntity(runs []int, hits []*EntityRecord) (EntityRecord, bool) {
+	var u entityUnion
+	for _, i := range runs {
+		if hits[i] != nil {
+			u.add(hits[i])
+		}
+	}
+	return u.rec, u.found
+}
+
 // Apply reconstructs the newer version from base: base's facts minus
 // Removed keys, with Upgraded records substituted in place and Added
 // facts appended (an Added key base already holds folds in under the
 // AddFact winner rule); entities likewise. apply(a, Diff(a, b)) is
 // fingerprint-identical to b for any two KBs. base is not mutated.
 //
-// The result is O(|base|) to build but re-derives nothing base already
-// knows: surviving facts keep their dedup keys and field-index postings
-// (renumbered), and surviving entity records are copied without
-// re-closing their types. Only the delta's own records go through
-// AddFact and AddEntity. Fact object slices and entity mention/type
-// slices are shared with base, capped so a later AddEntity on either
-// KB reallocates instead of writing into the other's storage.
+// It is one step of an Overlay over base, materialized: the result is
+// O(|base|) to build but re-derives nothing base already knows (see
+// Overlay.materialize), and a follower applying a chain of deltas runs
+// the same per-key rules without the per-version materialization.
 func (d *Delta) Apply(base *KB) *KB {
-	// newIdx maps each base fact to its index in the result (-1 when
-	// removed); substituted records are patched in afterwards.
-	newIdx := make([]int, len(base.facts))
-	for i := range d.Removed {
-		if j, ok := base.byKey[base.factKeyOf(&d.Removed[i])]; ok {
-			newIdx[j] = -1
-		}
-	}
-	out := &KB{
-		facts: make([]Fact, 0, len(base.facts)+len(d.Added)),
-		byKey: make(map[string]int, len(base.facts)+len(d.Added)),
-	}
-	for i := range base.facts {
-		if newIdx[i] < 0 {
-			continue
-		}
-		newIdx[i] = len(out.facts)
-		f := base.facts[i]
-		f.ID = len(out.facts)
-		out.facts = append(out.facts, f)
-	}
-	out.nextID = len(out.facts)
-	for i := range d.Upgraded {
-		j, ok := base.byKey[base.factKeyOf(&d.Upgraded[i])]
-		if !ok || newIdx[j] < 0 {
-			continue
-		}
-		f := d.Upgraded[i]
-		f.ID = newIdx[j]
-		f.Objects = append([]Value(nil), f.Objects...)
-		out.facts[f.ID] = f
-	}
-	for k, i := range base.byKey {
-		if j := newIdx[i]; j >= 0 {
-			out.byKey[k] = j
-		}
-	}
-	out.bySubject = remapPostings(base.bySubject, newIdx)
-	out.byObject = remapPostings(base.byObject, newIdx)
-	out.byRel = remapPostings(base.byRel, newIdx)
-
-	removedEnts := make(map[string]struct{}, len(d.RemovedEntities))
-	for i := range d.RemovedEntities {
-		removedEnts[d.RemovedEntities[i].ID] = struct{}{}
-	}
-	changedEnts := make(map[string]*EntityRecord, len(d.ChangedEntities))
-	for i := range d.ChangedEntities {
-		changedEnts[d.ChangedEntities[i].ID] = &d.ChangedEntities[i]
-	}
-	n := len(base.order) + len(d.AddedEntities)
-	out.entities = make(map[string]*EntityRecord, n)
-	out.order = make([]string, 0, n)
-	recs := make([]EntityRecord, 0, len(base.order))
-	for _, id := range base.order {
-		if _, gone := removedEnts[id]; gone {
-			continue
-		}
-		if ce, ok := changedEnts[id]; ok {
-			out.AddEntity(*ce)
-			continue
-		}
-		e := *base.entities[id]
-		e.Mentions = e.Mentions[:len(e.Mentions):len(e.Mentions)]
-		e.Types = e.Types[:len(e.Types):len(e.Types)]
-		recs = append(recs, e)
-		out.entities[id] = &recs[len(recs)-1]
-		out.order = append(out.order, id)
-	}
-	for i := range d.AddedEntities {
-		out.AddEntity(d.AddedEntities[i])
-	}
-	for i := range d.Added {
-		f := d.Added[i]
-		f.Objects = append([]Value(nil), f.Objects...)
-		out.AddFact(f)
-	}
-	return out
-}
-
-// remapPostings carries a field index over to Apply's renumbered facts:
-// every posting list keeps its surviving entries, in order, under their
-// new indices, and a list left empty is dropped.
-func remapPostings(idx map[string][]int, newIdx []int) map[string][]int {
-	out := make(map[string][]int, len(idx))
-	for k, posts := range idx {
-		var kept []int
-		for _, p := range posts {
-			if q := newIdx[p]; q >= 0 {
-				if kept == nil {
-					kept = make([]int, 0, len(posts))
-				}
-				kept = append(kept, q)
-			}
-		}
-		if kept != nil {
-			out[k] = kept
-		}
-	}
-	return out
-}
-
-// factKeyOf derives a fact's dedup key using the KB's scratch buffer —
-// the same layout AddFact indexes by.
-func (kb *KB) factKeyOf(f *Fact) string {
-	buf := appendFactKey(kb.keyBuf[:0], f)
-	kb.keyBuf = buf
-	return string(buf)
+	o := NewOverlay(base)
+	o.commit(o.Stage(d))
+	return o.materialize()
 }

@@ -347,58 +347,3 @@ func spanIdentity(runs []*treeNode) segIdentity {
 		}
 	}
 }
-
-// FoldIdentity returns the identity of next = d.Apply(base) from base's
-// identity in O(|d|): only the fact keys and entity IDs the delta names
-// can differ between the two KBs, so for each of them the hash of base's
-// record is subtracted and the hash of next's record added. Both records
-// are read from the actual KBs, never from the delta, so a delta that
-// applied to something other than what its sender meant still changes
-// the result. A key named twice (an Added fact whose key base already
-// holds, say) is folded once.
-func (d *Delta) FoldIdentity(base, next *KB, baseID Identity) Identity {
-	var h lineHasher
-	id := baseID
-	seen := make(map[string]struct{}, len(d.Added)+len(d.Upgraded)+len(d.Removed))
-	for _, facts := range [3][]Fact{d.Added, d.Upgraded, d.Removed} {
-		for i := range facts {
-			key := FactKey(&facts[i])
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			if f, ok := base.factByKey(key); ok {
-				id = id.Sub(h.fact(f))
-			}
-			if f, ok := next.factByKey(key); ok {
-				id = id.Add(h.fact(f))
-			}
-		}
-	}
-	clear(seen)
-	for _, ents := range [3][]EntityRecord{d.AddedEntities, d.ChangedEntities, d.RemovedEntities} {
-		for i := range ents {
-			eid := ents[i].ID
-			if _, dup := seen[eid]; dup {
-				continue
-			}
-			seen[eid] = struct{}{}
-			if e := base.entities[eid]; e != nil {
-				id = id.Sub(h.entity(e))
-			}
-			if e := next.entities[eid]; e != nil {
-				id = id.Add(h.entity(e))
-			}
-		}
-	}
-	return id
-}
-
-// factByKey returns the fact stored under a dedup key.
-func (kb *KB) factByKey(key string) (*Fact, bool) {
-	i, ok := kb.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	return &kb.facts[i], true
-}

@@ -247,13 +247,7 @@ func (c *TreeCursor) Next() (key string, f Fact, ok bool) {
 		if !c.valid[i] || c.keys[i] != key {
 			continue
 		}
-		dup := c.facts[i]
-		if dup.Confidence > f.Confidence ||
-			(dup.Confidence == f.Confidence && provLess(dup.Source, f.Source)) {
-			f.Confidence = dup.Confidence
-			f.Source = dup.Source
-			f.Pattern = dup.Pattern
-		}
+		keepWinner(&f, c.facts[i])
 		c.advance(i)
 	}
 	return key, f, true

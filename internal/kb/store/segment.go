@@ -478,13 +478,7 @@ func MergeSegments(a, b *Segment) *Segment {
 			bi++
 		default:
 			i, j := ad.sorted[ai], bd.sorted[bi]
-			af, bf := &out.facts[i], &bd.facts[j]
-			if bf.Confidence > af.Confidence ||
-				(bf.Confidence == af.Confidence && provLess(bf.Source, af.Source)) {
-				af.Confidence = bf.Confidence
-				af.Source = bf.Source
-				af.Pattern = bf.Pattern
-			}
+			keepWinner(&out.facts[i], &bd.facts[j])
 			bOut[j] = i
 			out.sorted = append(out.sorted, i)
 			ai++

@@ -95,13 +95,27 @@ func New() *KB {
 func (kb *KB) AddEntity(rec EntityRecord) *EntityRecord {
 	e, ok := kb.entities[rec.ID]
 	if !ok {
-		cp := rec
-		cp.Mentions = append([]string(nil), rec.Mentions...)
-		cp.Types = entityrepo.TypeClosure(rec.Types)
+		cp := newEntity(&rec)
 		kb.entities[rec.ID] = &cp
 		kb.order = append(kb.order, rec.ID)
 		return &cp
 	}
+	mergeEntity(e, &rec)
+	return e
+}
+
+// newEntity is the record AddEntity stores for an ID the KB lacks: the
+// mentions copied, the types closed under subsumption.
+func newEntity(rec *EntityRecord) EntityRecord {
+	cp := *rec
+	cp.Mentions = append([]string(nil), rec.Mentions...)
+	cp.Types = entityrepo.TypeClosure(rec.Types)
+	return cp
+}
+
+// mergeEntity extends e the way AddEntity extends a held record: rec's
+// mentions and the closure of its types are appended where e lacks them.
+func mergeEntity(e, rec *EntityRecord) {
 	for _, m := range rec.Mentions {
 		if !contains(e.Mentions, m) {
 			e.Mentions = append(e.Mentions, m)
@@ -114,7 +128,6 @@ func (kb *KB) AddEntity(rec EntityRecord) *EntityRecord {
 			e.Types = append(e.Types, t)
 		}
 	})
-	return e
 }
 
 // Entity returns the record for an entity ID, or nil.
@@ -167,14 +180,7 @@ func (kb *KB) AddFact(f Fact) int {
 	kb.keyBuf = buf
 
 	if i, ok := kb.byKey[string(buf)]; ok { // no alloc: map probe with temporary
-		if f.Confidence > kb.facts[i].Confidence ||
-			(f.Confidence == kb.facts[i].Confidence && provLess(f.Source, kb.facts[i].Source)) {
-			kb.facts[i].Confidence = f.Confidence
-			kb.facts[i].Source = f.Source
-			// The surface pattern travels with its provenance: the
-			// stored fact must cite a sentence that contains it.
-			kb.facts[i].Pattern = f.Pattern
-		}
+		keepWinner(&kb.facts[i], &f)
 		return kb.facts[i].ID
 	}
 	f.ID = kb.nextID
@@ -224,6 +230,26 @@ func appendValueKey(buf []byte, v Value) []byte {
 	}
 	buf = append(buf, 'l', ':')
 	return intern.AppendLower(buf, v.Literal)
+}
+
+// wins reports whether f displaces cur, a record under the same dedup
+// key: the higher confidence wins, and a tie goes to the smaller
+// provenance, so the survivor does not depend on insertion order.
+func wins(f, cur *Fact) bool {
+	return f.Confidence > cur.Confidence ||
+		(f.Confidence == cur.Confidence && provLess(f.Source, cur.Source))
+}
+
+// keepWinner folds f, another occurrence of dst's dedup key, into dst:
+// if f wins, dst takes its confidence and provenance, and keepWinner
+// reports true. The surface pattern travels with its provenance: the
+// stored fact must cite a sentence that contains it.
+func keepWinner(dst, f *Fact) bool {
+	if !wins(f, dst) {
+		return false
+	}
+	dst.Confidence, dst.Source, dst.Pattern = f.Confidence, f.Source, f.Pattern
+	return true
 }
 
 // provLess orders provenances by (DocID, SentIndex).

@@ -300,24 +300,33 @@ func splitOut(n *treeNode, seq uint64) ([]*treeNode, bool) {
 // provenance). The pointer aliases immutable segment storage when the
 // oldest occurrence also wins, and is a private copy otherwise.
 func (t *Tree) Lookup(key string) (*Fact, bool) {
-	var first, win *Fact
+	var w factWinner
 	for _, r := range t.runs {
-		f, ok := r.seg.Lookup(key)
-		if !ok {
-			continue
-		}
-		if win == nil {
-			first, win = f, f
-		} else if f.Confidence > win.Confidence ||
-			(f.Confidence == win.Confidence && provLess(f.Source, win.Source)) {
-			win = f
+		if f, ok := r.seg.Lookup(key); ok {
+			w.add(f)
 		}
 	}
-	if win == first {
-		return first, first != nil
+	return w.result()
+}
+
+// factWinner folds one key's occurrences, oldest run first, into the
+// record the materialized KB holds under it.
+type factWinner struct{ first, win *Fact }
+
+func (w *factWinner) add(f *Fact) {
+	if w.win == nil {
+		w.first, w.win = f, f
+	} else if wins(f, w.win) {
+		w.win = f
 	}
-	cp := *first
-	cp.Confidence, cp.Source, cp.Pattern = win.Confidence, win.Source, win.Pattern
+}
+
+func (w *factWinner) result() (*Fact, bool) {
+	if w.win == w.first {
+		return w.first, w.first != nil
+	}
+	cp := *w.first
+	cp.Confidence, cp.Source, cp.Pattern = w.win.Confidence, w.win.Source, w.win.Pattern
 	return &cp, true
 }
 
@@ -326,22 +335,29 @@ func (t *Tree) Lookup(key string) (*Fact, bool) {
 // materialized KB would hold it: one binary search of each run's entity
 // index, O(R · log n) for R runs.
 func (t *Tree) LookupEntity(id string) (EntityRecord, bool) {
-	var out EntityRecord
-	found := false
+	var u entityUnion
 	for _, r := range t.runs {
 		d := r.seg.payload()
-		i := d.entity(id)
-		if i < 0 {
-			continue
-		}
-		e := &d.ents[i]
-		if !found {
-			out, found = copyEntity(e), true
-		} else {
-			unionEntity(&out, e)
+		if i := d.entity(id); i >= 0 {
+			u.add(&d.ents[i])
 		}
 	}
-	return out, found
+	return u.rec, u.found
+}
+
+// entityUnion folds one entity ID's records, oldest run first, into the
+// merged record the materialized KB holds.
+type entityUnion struct {
+	rec   EntityRecord
+	found bool
+}
+
+func (u *entityUnion) add(e *EntityRecord) {
+	if !u.found {
+		u.rec, u.found = copyEntity(e), true
+	} else {
+		unionEntity(&u.rec, e)
+	}
 }
 
 // Materialize flattens the tree into a KB: the runs merge oldest-first,

@@ -23,7 +23,7 @@ import (
 // layer folds them into /stats alongside its own).
 const (
 	CounterRecords       = "replica_records"       // stream records decoded
-	CounterApplies       = "replica_applies"       // deltas applied to a base KB
+	CounterApplies       = "replica_applies"       // deltas staged against the verified state
 	CounterVerifications = "replica_verifications" // identity stamps checked
 	CounterVerified      = "replica_verified"      // stamps that matched (versions published)
 	CounterDuplicates    = "replica_duplicates"    // records at or below the verified version, skipped
@@ -81,8 +81,8 @@ type Options struct {
 }
 
 // Quarantine is one divergent version the follower refused to serve:
-// the delta applied cleanly but the resulting KB's content identity did
-// not match the leader's stamp.
+// the delta staged cleanly but the content identity it folds to did not
+// match the leader's stamp.
 type Quarantine struct {
 	Version   uint64 `json:"version"`
 	LeaderSHA string `json:"leader_sha256"`
@@ -94,12 +94,15 @@ type Quarantine struct {
 }
 
 // Status is the follower's health summary, surfaced through /healthz
-// and /stats on a following qkbflyd.
+// and /stats on a following qkbflyd. Facts and Entities count the
+// verified version's KB without materializing it.
 type Status struct {
 	Role               string           `json:"role"`
 	Leader             string           `json:"leader"`
 	Version            uint64           `json:"version"`
 	FingerprintSHA     string           `json:"fingerprint_sha256"`
+	Facts              int              `json:"facts"`
+	Entities           int              `json:"entities"`
 	LeaderHead         uint64           `json:"leader_head"`
 	LagVersions        uint64           `json:"lag_versions"`
 	LastVerifiedUnixMS int64            `json:"last_verified_unix_ms"`
@@ -112,17 +115,32 @@ type Status struct {
 // maxQuarantineKept bounds the quarantine log in Status.
 const maxQuarantineKept = 8
 
-// Follower replicates a leader's version chain. Reads (KB, Status) are
-// safe at any time and always observe the last identity-verified
-// version — never a partially applied or divergent one.
+// Follower replicates a leader's version chain. Reads (KB, Version,
+// Status) are safe at any time and always observe the last
+// identity-verified version — never a partially applied or divergent
+// one.
+//
+// The verified state is a store.Overlay: the last materialized KB plus
+// the records every version since changed. Each record's delta is staged
+// against it and committed only if the folded identity matches the
+// leader's stamp, so following costs O(|delta|) per version; the flat KB
+// is built by the first KB call after a version, and becomes the
+// overlay's new base.
 type Follower struct {
 	opt      Options
 	counters *stats.CounterSet
 
+	// kbMu serializes the overlay: applying a record (stage, verify,
+	// commit) and materializing for KB. It is taken before mu.
+	kbMu sync.Mutex
+	ov   *store.Overlay
+	flat *store.KB // ov flattened at the verified version; nil until read
+
 	mu           sync.Mutex
-	kb           *store.KB
 	version      uint64
-	id           store.Identity // kb's content identity
+	id           store.Identity // the verified version's content identity
+	facts        int
+	entities     int
 	leaderHead   uint64
 	lastVerified time.Time
 	degraded     bool
@@ -149,42 +167,56 @@ func New(opt Options) *Follower {
 	if c == nil {
 		c = stats.NewCounterSet()
 	}
-	f := &Follower{
+	empty := store.New()
+	return &Follower{
 		opt:      opt,
 		counters: c,
-		kb:       store.New(),
+		ov:       store.NewOverlay(empty),
+		flat:     empty,
 		version:  opt.Since,
 	}
-	return f
 }
 
 // Seed installs a verified base state and its content identity —
 // typically the result of Bootstrap from a persist blob store — so the
 // stream resumes from version instead of replaying or re-baselining.
-// Call before Run.
+// Call before Run. The follower reads kb from then on and never
+// modifies it.
 func (f *Follower) Seed(kb *store.KB, version uint64, id store.Identity) {
+	f.kbMu.Lock()
+	defer f.kbMu.Unlock()
+	f.ov, f.flat = store.NewOverlay(kb), kb
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.kb = kb
-	f.version = version
-	f.id = id
-	if version > f.leaderHead {
-		f.leaderHead = version
-	}
-	f.lastVerified = time.Now()
+	f.setVerifiedLocked(version, id)
 }
 
-// KB returns the last identity-verified KB and its version.
+// KB returns the last identity-verified KB and its version. The first
+// call after a version materializes it (O(window)) under kbMu, so the
+// next apply and concurrent KB calls wait for it; later calls at the
+// same version return the same KB. Callers must not modify it.
 func (f *Follower) KB() (*store.KB, uint64) {
-	kb, version, _ := f.state()
-	return kb, version
+	f.kbMu.Lock()
+	defer f.kbMu.Unlock()
+	if f.flat == nil {
+		f.flat = f.ov.Flatten()
+	}
+	return f.flat, f.Version()
 }
 
-// state returns the last verified KB with its version and identity.
-func (f *Follower) state() (*store.KB, uint64, store.Identity) {
+// Version returns the last identity-verified version, without
+// materializing its KB.
+func (f *Follower) Version() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.kb, f.version, f.id
+	return f.version
+}
+
+// verified returns the last verified version and its identity.
+func (f *Follower) verified() (uint64, store.Identity) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.version, f.id
 }
 
 // Counters returns the follower's counter set (shared with Options
@@ -200,6 +232,8 @@ func (f *Follower) Status() Status {
 		Leader:         f.opt.Leader,
 		Version:        f.version,
 		FingerprintSHA: f.id.Hex(),
+		Facts:          f.facts,
+		Entities:       f.entities,
 		LeaderHead:     f.leaderHead,
 		Degraded:       f.degraded,
 		Counters:       f.counters.Snapshot(),
@@ -227,7 +261,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		if resync {
 			f.counters.Add(CounterResyncs, 1)
 		}
-		rc, err := f.dial(ctx, f.sinceVersion(), resync)
+		rc, err := f.dial(ctx, f.Version(), resync)
 		if err == nil {
 			failures = 0
 			// consume reports whether its last failure demands a full
@@ -236,7 +270,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			// and re-demands.
 			resync, err = f.consume(ctx, rc)
 			if err != nil && ctx.Err() == nil {
-				f.opt.Logf("replica: stream from %s failed at v%d: %v", f.opt.Leader, f.sinceVersion(), err)
+				f.opt.Logf("replica: stream from %s failed at v%d: %v", f.opt.Leader, f.Version(), err)
 			}
 		} else if ctx.Err() == nil {
 			failures++
@@ -249,13 +283,6 @@ func (f *Follower) Run(ctx context.Context) error {
 		f.sleepBackoff(ctx, failures)
 	}
 	return ctx.Err()
-}
-
-// sinceVersion is the resume point: the last verified version.
-func (f *Follower) sinceVersion() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.version
 }
 
 func (f *Follower) setDegraded(v bool) {
@@ -353,71 +380,80 @@ func (f *Follower) applyRecord(rec *Record) (resync bool, err error) {
 	if rec.Delta == nil {
 		return false, fmt.Errorf("record v%d carries no delta", rec.Version)
 	}
-	base, baseVer, baseID := f.state()
+	published, sha, resync, err := f.verify(rec)
+	if published && f.opt.OnVerified != nil {
+		f.opt.OnVerified(rec.Version, sha)
+	}
+	return resync, err
+}
+
+// verify stages rec's delta against the verified overlay, checks the
+// folded identity against the leader's stamp, and commits and publishes
+// the version only if they match; on a mismatch the overlay is left as
+// it was. It reports whether the version was published, and its stamp.
+func (f *Follower) verify(rec *Record) (published bool, sha string, resync bool, err error) {
+	f.kbMu.Lock()
+	defer f.kbMu.Unlock()
+	baseVer, baseID := f.verified()
 	if rec.Version <= baseVer {
 		// At or below the verified version — a duplicate delta, or an
 		// equal-version snapshot, which is content-identical to the
 		// verified local state: re-publishing it would duplicate the
 		// observation in the replica's version history.
 		f.counters.Add(CounterDuplicates, 1)
-		return false, nil
+		return false, "", false, nil
 	}
-	var next *store.KB
-	var id store.Identity
+	ov := f.ov
 	if rec.Reset {
 		// Re-baseline: the delta is the full diff from empty, valid
 		// regardless of local state — this is how a quarantined or
-		// horizon-lapsed follower recovers. Its identity is computed from
-		// scratch.
-		next = rec.Delta.Apply(store.New())
-		id = next.Identity()
-	} else {
-		if rec.Version != baseVer+1 {
-			// Out-of-order delivery: a delta only composes onto exactly the
-			// version it was diffed against. Resume from the verified
-			// version.
-			f.counters.Add(CounterGaps, 1)
-			return false, fmt.Errorf("gap: got v%d, have v%d", rec.Version, baseVer)
-		}
-		// Verification follows the delta, not the KB: the identity folds
-		// over the keys and entity IDs the delta names.
-		next = rec.Delta.Apply(base)
-		id = rec.Delta.FoldIdentity(base, next, baseID)
+		// horizon-lapsed follower recovers.
+		ov, baseID = store.NewOverlay(store.New()), store.Identity{}
+	} else if rec.Version != baseVer+1 {
+		// Out-of-order delivery: a delta only composes onto exactly the
+		// version it was diffed against. Resume from the verified
+		// version.
+		f.counters.Add(CounterGaps, 1)
+		return false, "", false, fmt.Errorf("gap: got v%d, have v%d", rec.Version, baseVer)
 	}
+	// Verification follows the delta, not the KB: the identity folds
+	// over the records the delta names, read from the verified state.
+	step := ov.Stage(rec.Delta)
+	id := step.Identity(baseID)
 	f.counters.Add(CounterApplies, 1)
 	f.counters.Add(CounterVerifications, 1)
-	if sha := id.Hex(); sha != rec.FingerprintSHA {
+	if sha = id.Hex(); sha != rec.FingerprintSHA {
 		// A divergent version means the wire is corrupting records:
 		// quarantine it and re-baseline from a snapshot.
 		f.quarantine(rec, sha)
-		return true, fmt.Errorf("v%d identity mismatch after apply", rec.Version)
+		return false, "", true, fmt.Errorf("v%d identity mismatch after apply", rec.Version)
 	}
 	if rec.Reset {
 		f.counters.Add(CounterResets, 1)
 	}
-	f.publish(next, rec.Version, id)
-	return false, nil
+	ov.Commit(step)
+	f.ov, f.flat = ov, nil
+	f.mu.Lock()
+	f.setVerifiedLocked(rec.Version, id)
+	f.degraded = false
+	f.mu.Unlock()
+	f.counters.Add(CounterVerified, 1)
+	return true, sha, false, nil
 }
 
-// publish installs an identity-verified version as the served state.
-func (f *Follower) publish(kb *store.KB, version uint64, id store.Identity) {
-	f.mu.Lock()
-	f.kb = kb
+// setVerifiedLocked installs version as the served state, with the
+// overlay's counts. Callers hold kbMu and mu.
+func (f *Follower) setVerifiedLocked(version uint64, id store.Identity) {
 	f.version = version
 	f.id = id
+	f.facts, f.entities = f.ov.Len(), f.ov.EntityCount()
 	f.lastVerified = time.Now()
-	f.degraded = false
 	if version > f.leaderHead {
 		f.leaderHead = version
 	}
-	f.mu.Unlock()
-	f.counters.Add(CounterVerified, 1)
-	if f.opt.OnVerified != nil {
-		f.opt.OnVerified(version, id.Hex())
-	}
 }
 
-// quarantine records a divergent version — applied but never served —
+// quarantine records a divergent version — staged but never committed —
 // and logs the diff summary for the operator.
 func (f *Follower) quarantine(rec *Record, localSHA string) {
 	q := Quarantine{

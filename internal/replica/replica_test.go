@@ -14,6 +14,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -197,15 +198,24 @@ func (ft *faultyTransport) dial(ctx context.Context, rawURL string) (io.ReadClos
 
 // corruptingTransport rewrites the first delta record corrupt applies
 // to (corrupt reports whether it changed anything) — valid JSON, valid
-// version, the leader's identity stamp intact — so only identity
-// verification can catch it.
+// version — so only identity verification can catch it. Snapshot dials
+// (the resync after a quarantine) wait until resync is closed, so a
+// test can inspect the follower in between.
 type corruptingTransport struct {
 	base      replica.DialFunc
-	corrupt   func(d *store.Delta) bool
-	corrupted atomic.Bool
+	corrupt   func(rec *replica.Record) bool
+	corrupted atomic.Uint64 // the corrupted record's version; 0 until then
+	resync    chan struct{}
 }
 
 func (ct *corruptingTransport) dial(ctx context.Context, rawURL string) (io.ReadCloser, error) {
+	if strings.Contains(rawURL, "snapshot=1") {
+		select {
+		case <-ct.resync:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	rc, err := ct.base(ctx, rawURL)
 	if err != nil {
 		return nil, err
@@ -219,11 +229,11 @@ func (ct *corruptingTransport) dial(ctx context.Context, rawURL string) (io.Read
 			if len(line) > 0 {
 				out := line
 				var rec replica.Record
-				if !ct.corrupted.Load() && json.Unmarshal(line, &rec) == nil &&
-					!rec.Reset && rec.Delta != nil && ct.corrupt(rec.Delta) {
+				if ct.corrupted.Load() == 0 && json.Unmarshal(line, &rec) == nil &&
+					!rec.Reset && rec.Delta != nil && ct.corrupt(&rec) {
 					if b, merr := json.Marshal(&rec); merr == nil {
 						out = append(b, '\n')
-						ct.corrupted.Store(true)
+						ct.corrupted.Store(rec.Version)
 					}
 				}
 				if _, werr := pw.Write(out); werr != nil {
@@ -275,7 +285,7 @@ func waitWithin(t *testing.T, rf *runningFollower, head, lag uint64, timeout tim
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		_, v := rf.f.KB()
+		v := rf.f.Version()
 		if v+lag >= head {
 			return
 		}
@@ -290,8 +300,8 @@ func waitConverged(t *testing.T, rf *runningFollower, wantVersion uint64, wantSH
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		_, v := rf.f.KB()
 		st := rf.f.Status()
+		v := st.Version
 		if v == wantVersion && st.FingerprintSHA == wantSHA {
 			return
 		}
@@ -420,12 +430,14 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 }
 
 // TestFollowerQuarantinesCorruptDelta injects a bit-flipped (but
-// JSON-valid, correctly versioned, leader-stamped) delta — in an added
-// fact, an upgraded confidence, a removed record and a changed entity
-// record: identity verification must catch each, quarantine the version
-// without ever serving it, resync from a leader snapshot, and converge;
-// the history checker confirms the corrupt state never entered any
-// served history.
+// JSON-valid, correctly versioned) record — in an added fact, an
+// upgraded confidence, a removed record, a changed entity record, or
+// the stamp of a mid-chain version: identity verification must catch
+// each and quarantine the version without ever serving it. Until the
+// resync lands the follower serves the last verified version,
+// fingerprint-identical to the leader's at that version; then it
+// resyncs from a leader snapshot and converges. The history checker
+// confirms the corrupt state never entered any served history.
 func TestFollowerQuarantinesCorruptDelta(t *testing.T) {
 	flip := func(s string) string { // one bit of the last byte
 		b := []byte(s)
@@ -434,34 +446,45 @@ func TestFollowerQuarantinesCorruptDelta(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		corrupt func(d *store.Delta) bool
+		corrupt func(rec *replica.Record) bool
 	}{
-		{"added object", func(d *store.Delta) bool {
+		{"added object", func(rec *replica.Record) bool {
+			d := rec.Delta
 			if len(d.Added) == 0 {
 				return false
 			}
 			d.Added[0].Objects = []store.Value{{Literal: "silently corrupted in transit"}}
 			return true
 		}},
-		{"upgraded confidence", func(d *store.Delta) bool {
+		{"upgraded confidence", func(rec *replica.Record) bool {
+			d := rec.Delta
 			if len(d.Upgraded) == 0 {
 				return false
 			}
 			d.Upgraded[0].Confidence = math.Float64frombits(math.Float64bits(d.Upgraded[0].Confidence) ^ 1)
 			return true
 		}},
-		{"removed record", func(d *store.Delta) bool {
+		{"removed record", func(rec *replica.Record) bool {
+			d := rec.Delta
 			if len(d.Removed) == 0 {
 				return false
 			}
 			d.Removed[0].Relation = flip(d.Removed[0].Relation)
 			return true
 		}},
-		{"changed entity", func(d *store.Delta) bool {
+		{"changed entity", func(rec *replica.Record) bool {
+			d := rec.Delta
 			if len(d.ChangedEntities) == 0 {
 				return false
 			}
 			d.ChangedEntities[0].Name = flip(d.ChangedEntities[0].Name)
+			return true
+		}},
+		{"stamp mid-chain", func(rec *replica.Record) bool {
+			if rec.Version < 3 {
+				return false
+			}
+			rec.FingerprintSHA = flip(rec.FingerprintSHA)
 			return true
 		}},
 	} {
@@ -470,14 +493,16 @@ func TestFollowerQuarantinesCorruptDelta(t *testing.T) {
 			sess, ts := newLeader(t, qkbfly.SessionOptions{HistoryLimit: 64, MaxDocuments: 2})
 			ctx := context.Background()
 			checker := replica.NewHistoryChecker()
+			fingerprints := map[uint64]string{0: ""} // leader KB by version
 			for i := 0; i < 4; i++ {
 				snap, _, err := sess.Ingest(ctx, []*nlp.Document{doc(fmt.Sprintf("c%02d", i))})
 				if err != nil {
 					t.Fatalf("ingest %d: %v", i, err)
 				}
 				checker.RecordLeader(snap.Version(), sess.FingerprintSHA(snap))
+				fingerprints[snap.Version()] = snap.Fingerprint()
 			}
-			ct := &corruptingTransport{base: httpDial(ts.Client()), corrupt: tc.corrupt}
+			ct := &corruptingTransport{base: httpDial(ts.Client()), corrupt: tc.corrupt, resync: make(chan struct{})}
 			f := replica.New(replica.Options{
 				Leader:      ts.URL,
 				Dial:        ct.dial,
@@ -489,13 +514,35 @@ func TestFollowerQuarantinesCorruptDelta(t *testing.T) {
 			rf := startFollower(f)
 			defer rf.stop()
 
+			// Quarantined, resync held back: the served state is the last
+			// version verified before the corrupt one, unharmed.
+			deadline := time.Now().Add(15 * time.Second)
+			for f.Counters().Get(replica.CounterQuarantines) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("no quarantine; counters %v", f.Counters().Snapshot())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			bad := ct.corrupted.Load()
+			if bad == 0 {
+				t.Fatal("quarantined, but the transport never injected the corrupt record")
+			}
+			kb, kv := f.KB()
+			if kv != bad-1 || f.Version() != kv {
+				t.Fatalf("after quarantining v%d the follower serves v%d (Version %d), want v%d", bad, kv, f.Version(), bad-1)
+			}
+			if kb.Fingerprint() != fingerprints[kv] {
+				t.Fatalf("served KB at v%d differs from the leader's v%d", kv, kv)
+			}
+			if st := f.Status(); st.Facts != kb.Len() || st.Entities != len(kb.Entities()) {
+				t.Fatalf("status counts %d facts / %d entities, served KB %d / %d", st.Facts, st.Entities, kb.Len(), len(kb.Entities()))
+			}
+			close(ct.resync)
+
 			head := sess.Snapshot()
 			waitConverged(t, rf, head.Version(), sess.FingerprintSHA(head), 15*time.Second)
 			rf.stop()
 
-			if !ct.corrupted.Load() {
-				t.Fatal("transport never injected the corrupt record")
-			}
 			c := f.Counters()
 			if c.Get(replica.CounterQuarantines) < 1 {
 				t.Errorf("corrupt delta was not quarantined (quarantines=0); counters %v", c.Snapshot())
@@ -516,6 +563,83 @@ func TestFollowerQuarantinesCorruptDelta(t *testing.T) {
 				t.Fatalf("history checker: %v", err)
 			}
 		})
+	}
+}
+
+// TestFollowerConcurrentReaders: readers calling KB, Version and Status
+// while the follower applies a sliding chain always see a verified
+// version whose KB hashes to the leader's stamp for it, never moving
+// backwards; the counts Status keeps per version match the final KB.
+// Run under -race it also checks that materializing for a reader and
+// applying the next version never touch the same state unguarded.
+func TestFollowerConcurrentReaders(t *testing.T) {
+	sess, ts := newLeader(t, qkbfly.SessionOptions{MaxDocuments: 6, HistoryLimit: 64})
+	f := replica.New(replica.Options{
+		Leader:      ts.URL,
+		Dial:        httpDial(ts.Client()),
+		BackoffBase: 2 * time.Millisecond,
+		BackoffMax:  20 * time.Millisecond,
+		Logf:        discardLogf,
+	})
+	rf := startFollower(f)
+	defer rf.stop()
+
+	type read struct {
+		version uint64
+		sha     string
+	}
+	var stop atomic.Bool
+	reads := make([][]read, 4)
+	var wg sync.WaitGroup
+	for r := range reads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				kb, v := f.KB()
+				reads[r] = append(reads[r], read{v, replica.FingerprintSHA(kb)})
+				if f.Version() < v || f.Status().Version < v {
+					t.Errorf("reader %d: Version or Status behind a KB already served at v%d", r, v)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}()
+	}
+	stamps := map[uint64]string{0: store.Identity{}.Hex()}
+	ctx := context.Background()
+	for i := 0; i < 40; i++ {
+		snap, _, err := sess.Ingest(ctx, []*nlp.Document{doc(fmt.Sprintf("r%03d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamps[snap.Version()] = sess.FingerprintSHA(snap)
+		if i%7 == 6 {
+			if snap, n := sess.Evict(fmt.Sprintf("r%03d", i-3)); n == 1 {
+				stamps[snap.Version()] = sess.FingerprintSHA(snap)
+			}
+		}
+		if i%4 == 3 {
+			waitWithin(t, rf, sess.Version(), 0, 15*time.Second)
+		}
+	}
+	head := sess.Snapshot()
+	waitConverged(t, rf, head.Version(), sess.FingerprintSHA(head), 15*time.Second)
+	stop.Store(true)
+	wg.Wait()
+
+	for r, rs := range reads {
+		for i, rd := range rs {
+			if i > 0 && rd.version < rs[i-1].version {
+				t.Fatalf("reader %d went backwards: v%d after v%d", r, rd.version, rs[i-1].version)
+			}
+			if rd.sha != stamps[rd.version] {
+				t.Fatalf("reader %d: KB served at v%d hashes to %.12s, leader stamped %.12s", r, rd.version, rd.sha, stamps[rd.version])
+			}
+		}
+	}
+	kb, _ := f.KB()
+	if st := f.Status(); st.Facts != kb.Len() || st.Entities != len(kb.Entities()) {
+		t.Fatalf("status counts %d facts / %d entities, KB %d / %d", st.Facts, st.Entities, kb.Len(), len(kb.Entities()))
 	}
 }
 

@@ -14,8 +14,9 @@
 // of the KB's Fingerprint() — so both ends maintain it in O(|delta|)
 // per version: the leader folds it as it publishes, the follower folds
 // it over exactly the keys and entity IDs each delta touches, reading
-// the records from its own base and result KBs. Only a reset record is
-// hashed from scratch. The stamp detects faults (a record corrupted,
+// the records it replaces from its verified state (a store.Overlay, so
+// applying the delta is O(|delta|) as well) and those it leaves from
+// the staged step. The stamp detects faults (a record corrupted,
 // dropped or misapplied on the way); it does not authenticate the
 // leader — whoever can rewrite a record can rewrite its stamp.
 package replica

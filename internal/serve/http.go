@@ -356,7 +356,7 @@ func handleIngest(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 		Version:   snap.Version(),
 		Ingested:  ingested,
 		Skipped:   len(docs) - ingested,
-		Docs:      len(opt.Session.Docs()),
+		Docs:      opt.Session.DocCount(),
 		Facts:     snap.FactCount(),
 		ElapsedNS: int64(bs.Elapsed),
 	})
@@ -388,7 +388,7 @@ func handleEvict(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.R
 	writeJSON(w, http.StatusOK, map[string]any{
 		"version": snap.Version(),
 		"removed": removed,
-		"docs":    len(opt.Session.Docs()),
+		"docs":    opt.Session.DocCount(),
 		"facts":   snap.FactCount(),
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -273,7 +274,7 @@ func newFollowerTestServer(t *testing.T, version uint64, docIDs ...string) (*htt
 // and /healthz from its verified KB, rejects writes, and does not
 // re-export /deltas or /kb.
 func TestServeFollowerReadPath(t *testing.T) {
-	ts, _ := newFollowerTestServer(t, 7, "n1", "n2")
+	ts, f := newFollowerTestServer(t, 7, "n1", "n2")
 
 	// /facts: reset line then the full dump at the served version.
 	resp, err := http.Get(ts.URL + "/facts")
@@ -339,6 +340,32 @@ func TestServeFollowerReadPath(t *testing.T) {
 	resp.Body.Close()
 	if h.Role != "follower" || h.Version != 7 {
 		t.Errorf("/healthz: %+v", h)
+	}
+	resp, err = http.Get(ts.URL + "/session")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sess struct {
+		Role     string `json:"role"`
+		Version  uint64 `json:"version"`
+		Facts    int    `json:"facts"`
+		Entities int    `json:"entities"`
+	}
+	decodeJSON(t, resp.Body, &sess)
+	resp.Body.Close()
+	if kb, _ := f.KB(); sess.Role != "follower" || sess.Version != 7 || sess.Facts != kb.Len() || sess.Entities != len(kb.Entities()) {
+		t.Errorf("/session: %+v, want v7 with %d facts and %d entities", sess, kb.Len(), len(kb.Entities()))
+	}
+
+	// A caller already at the served version gets the header and no lines.
+	resp, err = http.Get(ts.URL + "/facts?since=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if v := resp.Header.Get("X-QKBfly-Version"); v != "7" || strings.TrimSpace(string(body)) != "" {
+		t.Errorf("/facts?since=7: version %q, body %q", v, body)
 	}
 
 	// Writes are refused; the stream and builder endpoints are absent.

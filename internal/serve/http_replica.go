@@ -49,15 +49,18 @@ func handleFactsReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Reque
 	if !ok {
 		return
 	}
-	kb, cur := opt.Replica.KB()
+	cur := opt.Replica.Version()
 	if !checkMinVersion(w, cur, min) {
 		return
 	}
-	sw := startStream(w, cur)
 	if since >= cur {
-		return // caller is current; nothing newer here
+		startStream(w, cur) // caller is current; nothing newer here
+		return
 	}
-	_ = writeFactDump(sw, kb, cur, tau) // a write error only ends the stream
+	// A version may have landed since the check: dump that one. A write
+	// error only ends the stream.
+	kb, cur := opt.Replica.KB()
+	_ = writeFactDump(startStream(w, cur), kb, cur, tau)
 }
 
 // handleQueryReplica is /query on a follower: the pattern is evaluated
@@ -73,7 +76,7 @@ func handleQueryReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Reque
 		return
 	}
 	if req.MinVersion > 0 {
-		if _, cur := opt.Replica.KB(); !checkMinVersion(w, cur, req.MinVersion) {
+		if !checkMinVersion(w, opt.Replica.Version(), req.MinVersion) {
 			return
 		}
 	}
@@ -113,16 +116,16 @@ func handleQueryReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Reque
 }
 
 // handleSessionReplica is /session on a follower: the replica's served
-// state instead of an ingestion session.
+// state instead of an ingestion session, from its status alone (the
+// counts are kept per verified version, so nothing is materialized).
 func handleSessionReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	st := opt.Replica.Status()
-	kb, cur := opt.Replica.KB()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"role":         st.Role,
 		"leader":       st.Leader,
-		"version":      cur,
-		"facts":        kb.Len(),
-		"entities":     len(kb.Entities()),
+		"version":      st.Version,
+		"facts":        st.Facts,
+		"entities":     st.Entities,
 		"lag_versions": st.LagVersions,
 		"degraded":     st.Degraded,
 	})

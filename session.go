@@ -623,10 +623,14 @@ func (s *Session) advanceLocked(oldTree, tree *store.Tree, changed []*store.Segm
 		s.maint.published(v, s.cur, s.loose)
 	}
 	if s.opt.HistoryLimit > 0 {
-		s.history = append(s.history, versionDelta{version: v, delta: delta, tree: tree, content: s.cur.content})
-		if over := len(s.history) - s.opt.HistoryLimit; over > 0 {
-			s.history = append([]versionDelta(nil), s.history[over:]...)
+		// Drop the oldest version by clearing its slot (so its delta and
+		// tree can be collected) and reslicing: append reallocates only
+		// when the slots ahead run out, so trimming is amortized O(1).
+		if len(s.history) == s.opt.HistoryLimit {
+			s.history[0] = versionDelta{}
+			s.history = s.history[1:]
 		}
+		s.history = append(s.history, versionDelta{version: v, delta: delta, tree: tree, content: s.cur.content})
 	}
 	s.subs.send(DeltaEvent{Version: v, Delta: delta, Snap: s.cur})
 }
@@ -702,6 +706,13 @@ func (s *Session) Docs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]string(nil), s.docIDs...)
+}
+
+// DocCount returns len(Docs()) without copying the window.
+func (s *Session) DocCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.docIDs)
 }
 
 // FactsSince replays the fact diffs of the versions after v, in version

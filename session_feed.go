@@ -96,8 +96,9 @@ func (f *fanout[T]) close() {
 }
 
 // sinceLocked is the session's one history cursor: the retained diffs
-// of the versions after v (oldest first; aliases s.history, which is
-// never modified in place), the current version, and whether v is
+// of the versions after v (oldest first; aliases s.history, whose
+// dropped slots are cleared in place, so the slice is valid only while
+// s.mu is held), the current version, and whether v is
 // still inside the history horizon. ok=false means the versions right
 // after v are gone and the consumer must re-baseline from a snapshot.
 // Callers hold s.mu.

@@ -3,7 +3,9 @@ package qkbfly_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
+	"weak"
 
 	"qkbfly"
 	"qkbfly/internal/kb/store"
@@ -196,6 +198,40 @@ func TestSessionHorizonResetRebase(t *testing.T) {
 			if got := qkbfly.FingerprintSHAHex(base.Fingerprint()); got != rec.FingerprintSHA {
 				t.Fatalf("post-rebase chain diverged at v%d", rec.Version)
 			}
+		}
+	}
+}
+
+// TestSessionHistoryReleasesDroppedVersions: once a version falls out of
+// the retained history its diff and merge tree are garbage — trimming
+// the history must not keep the dropped entries reachable — while the
+// replay horizon still moves exactly one version per publish.
+func TestSessionHistoryReleasesDroppedVersions(t *testing.T) {
+	const limit, n = 4, 13
+	b, docs := horizonShards(n)
+	sess := qkbfly.Open(b, qkbfly.SessionOptions{HistoryLimit: limit})
+	defer sess.Close()
+	ctx := context.Background()
+	var trees []weak.Pointer[store.Tree] // by version - 1
+	for _, d := range docs {
+		snap, _, err := sess.Ingest(ctx, []*nlp.Document{d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, weak.Make(snap.Tree()))
+		cur := snap.Version()
+		if _, _, ok := sess.DeltaSince(cur - min(cur, limit)); !ok {
+			t.Fatalf("v%d: since=%d fell behind the horizon", cur, cur-min(cur, limit))
+		}
+		if _, _, ok := sess.DeltaSince(cur - limit - 1); ok && cur > limit {
+			t.Fatalf("v%d: since=%d is still replayable past HistoryLimit %d", cur, cur-limit-1, limit)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	for v := 1; v <= n-limit; v++ {
+		if trees[v-1].Value() != nil {
+			t.Errorf("v%d's merge tree is still reachable after it left the history (head v%d, limit %d)", v, n, limit)
 		}
 	}
 }
