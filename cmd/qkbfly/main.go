@@ -139,7 +139,7 @@ func main() {
 		fmt.Printf("  %d - %s (%s)\n", i+1, d.Title, d.ID)
 	}
 	fmt.Printf("built on-the-fly KB: %d facts, %d entities (%d emerging) in %v (%d workers)\n",
-		kb.Len(), len(kb.Entities()), kb.EmergingCount(), bs.Elapsed, bs.Parallelism)
+		kb.Len(), kb.EntityCount(), kb.EmergingCount(), bs.Elapsed, bs.Parallelism)
 	if *timings {
 		st := bs.StageElapsed
 		fmt.Printf("stage timings (CPU): annotate %v, graph %v, densify %v, canonicalize %v, merge %v\n",

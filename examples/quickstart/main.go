@@ -52,7 +52,7 @@ func main() {
 	}
 
 	fmt.Printf("processed %d document(s) in %v on %d worker(s): %d facts, %d entities (%d emerging)\n",
-		len(docs), bs.Elapsed, bs.Parallelism, kb.Len(), len(kb.Entities()), kb.EmergingCount())
+		len(docs), bs.Elapsed, bs.Parallelism, kb.Len(), kb.EntityCount(), kb.EmergingCount())
 	fmt.Printf("stage time: annotate %v, graph %v, densify %v, canonicalize %v\n\n",
 		bs.StageElapsed.Annotate, bs.StageElapsed.Graph, bs.StageElapsed.Densify,
 		bs.StageElapsed.Canonicalize)

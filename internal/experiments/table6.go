@@ -109,7 +109,7 @@ func perDocPrecision(env *Env, kb *store.KB, gdocs []*corpus.GenDoc) []float64 {
 
 // emergingShare is the fraction of KB entities that are out-of-repository.
 func emergingShare(kb *store.KB) float64 {
-	total := len(kb.Entities())
+	total := kb.EntityCount()
 	if total == 0 {
 		return 0
 	}

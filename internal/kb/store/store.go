@@ -7,6 +7,7 @@
 package store
 
 import (
+	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -141,6 +142,10 @@ func (kb *KB) Entities() []*EntityRecord {
 	}
 	return out
 }
+
+// EntityCount returns the number of entity records: len(Entities())
+// without building the slice.
+func (kb *KB) EntityCount() int { return len(kb.order) }
 
 // EmergingCount returns the number of emerging entities.
 func (kb *KB) EmergingCount() int {
@@ -279,32 +284,35 @@ type Query struct {
 // Search returns the facts matching the query, ordered by fact ID.
 func (kb *KB) Search(q Query) []Fact {
 	var out []Fact
-	for i := range kb.facts {
-		f := &kb.facts[i]
-		if f.Confidence < q.MinConf {
-			continue
-		}
-		if !kb.matchValue(f.Subject, q.Subject) {
-			continue
-		}
-		if q.Predicate != "" && !strings.Contains(strings.ToLower(f.Relation), strings.ToLower(q.Predicate)) {
-			continue
-		}
-		if q.Object != "" {
-			found := false
-			for _, o := range f.Objects {
-				if kb.matchValue(o, q.Object) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				continue
-			}
-		}
+	for f := range kb.Matches(q) {
 		out = append(out, *f)
 	}
 	return out
+}
+
+// Matches yields the facts matching the query, ordered by fact ID,
+// without copying them: the facts are the KB's own and read-only.
+func (kb *KB) Matches(q Query) iter.Seq[*Fact] {
+	return func(yield func(*Fact) bool) {
+		for i := range kb.facts {
+			f := &kb.facts[i]
+			if f.Confidence < q.MinConf {
+				continue
+			}
+			if !kb.matchValue(f.Subject, q.Subject) {
+				continue
+			}
+			if q.Predicate != "" && !strings.Contains(strings.ToLower(f.Relation), strings.ToLower(q.Predicate)) {
+				continue
+			}
+			if q.Object != "" && !slices.ContainsFunc(f.Objects, func(o Value) bool { return kb.matchValue(o, q.Object) }) {
+				continue
+			}
+			if !yield(f) {
+				return
+			}
+		}
+	}
 }
 
 // matchValue implements substring and Type: matching on one argument.

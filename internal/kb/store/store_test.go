@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -79,8 +80,38 @@ func TestSearchByObjectAndConfidence(t *testing.T) {
 	if got := kb.Search(Query{MinConf: 0.5}); len(got) != 2 {
 		t.Errorf("tau filter = %d facts, want 2", len(got))
 	}
+	if got := kb.Search(Query{MinConf: 0.9}); len(got) != 1 {
+		t.Errorf("tau filter at a fact's confidence = %d facts, want 1", len(got))
+	}
 	if got := kb.Search(Query{Object: "Type:FILM"}); len(got) != 2 {
 		t.Errorf("object type search = %d", len(got))
+	}
+}
+
+// TestMatchesYieldsSearchInPlace: Matches yields what Search returns, in
+// order, as pointers into the KB, and stops when the loop breaks.
+func TestMatchesYieldsSearchInPlace(t *testing.T) {
+	kb := sampleKB()
+	for _, q := range []Query{{}, {Subject: "pitt"}, {Object: "Type:FILM"}, {MinConf: 0.5}, {Predicate: "none"}} {
+		want := kb.Search(q)
+		var got []Fact
+		for f := range kb.Matches(q) {
+			if f != &kb.Facts()[f.ID] {
+				t.Fatalf("%+v: fact %d is a copy", q, f.ID)
+			}
+			got = append(got, *f)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: Matches = %+v, Search = %+v", q, got, want)
+		}
+	}
+	n := 0
+	for range kb.Matches(Query{}) {
+		n++
+		break
+	}
+	if n != 1 {
+		t.Errorf("break after one fact: yielded %d", n)
 	}
 }
 

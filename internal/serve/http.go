@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -131,35 +132,6 @@ func NewHandler(s *Server, opt HandlerOptions) http.Handler {
 	return mux
 }
 
-// kbResponse is the /kb JSON shape.
-type kbResponse struct {
-	Query           string    `json:"query"`
-	Source          string    `json:"source"`
-	Size            int       `json:"size"`
-	Docs            []docRef  `json:"docs"`
-	FactCount       int       `json:"fact_count"`
-	EntityCount     int       `json:"entity_count"`
-	EmergingCount   int       `json:"emerging_count"`
-	ElapsedNS       int64     `json:"elapsed_ns"`
-	ServedFromCache bool      `json:"served_from_cache"`
-	Joined          bool      `json:"joined_inflight"`
-	Facts           []factRef `json:"facts"`
-}
-
-type docRef struct {
-	ID    string `json:"id"`
-	Title string `json:"title"`
-}
-
-type factRef struct {
-	Subject    string   `json:"subject"`
-	Relation   string   `json:"relation"`
-	Objects    []string `json:"objects"`
-	Confidence float64  `json:"confidence"`
-	DocID      string   `json:"doc_id"`
-	Sentence   int      `json:"sentence"`
-}
-
 func handleKB(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	if !getOnly(w, r) {
 		return
@@ -192,7 +164,7 @@ func handleKB(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.Requ
 		http.Error(w, "invalid limit: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	tau, ok := floatParam(w, r, "tau")
+	tau, ok := floatParam(w, q, "tau")
 	if !ok {
 		return
 	}
@@ -207,45 +179,57 @@ func handleKB(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.Requ
 		return
 	}
 
-	facts := res.KB.Search(store.Query{
+	bp := getBodyBuf()
+	defer putBodyBuf(bp)
+	*bp = appendKBBody(*bp, query, source, size, limit, res, store.Query{
 		Subject:   q.Get("subject"),
 		Predicate: q.Get("predicate"),
 		Object:    q.Get("object"),
 		MinConf:   tau,
 	})
-	if len(facts) > limit {
-		facts = facts[:limit]
-	}
-	resp := kbResponse{
-		Query:           query,
-		Source:          source,
-		Size:            size,
-		Docs:            []docRef{},
-		FactCount:       res.KB.Len(),
-		EntityCount:     len(res.KB.Entities()),
-		EmergingCount:   res.KB.EmergingCount(),
-		ElapsedNS:       int64(statsElapsed(res)),
-		ServedFromCache: res.CacheHit,
-		Joined:          res.Joined,
-		Facts:           []factRef{},
-	}
-	for _, d := range res.Docs {
-		resp.Docs = append(resp.Docs, docRef{ID: d.ID, Title: d.Title})
-	}
-	for _, f := range facts {
-		fr := factRef{
-			Subject:    f.Subject.String(),
-			Relation:   f.Relation,
-			Confidence: f.Confidence,
-			DocID:      f.Source.DocID,
-			Sentence:   f.Source.SentIndex,
+	writeJSONBody(w, *bp)
+}
+
+// appendKBBody appends the /kb response for res:
+//
+//	{"query","source","size","docs","fact_count","entity_count",
+//	 "emerging_count","elapsed_ns","served_from_cache","joined_inflight","facts"}
+//
+// facts lists the first limit facts matching filter, in fact-ID order.
+func appendKBBody(buf []byte, query, source string, size, limit int, res *Result, filter store.Query) []byte {
+	buf = append(buf, `{"query":`...)
+	buf = appendJSONString(buf, query)
+	buf = append(buf, `,"source":`...)
+	buf = appendJSONString(buf, source)
+	buf = append(buf, `,"size":`...)
+	buf = strconv.AppendInt(buf, int64(size), 10)
+	buf = append(buf, `,"docs":`...)
+	buf = appendDocs(buf, res.Docs)
+	buf = append(buf, `,"fact_count":`...)
+	buf = strconv.AppendInt(buf, int64(res.KB.Len()), 10)
+	buf = append(buf, `,"entity_count":`...)
+	buf = strconv.AppendInt(buf, int64(res.KB.EntityCount()), 10)
+	buf = append(buf, `,"emerging_count":`...)
+	buf = strconv.AppendInt(buf, int64(res.KB.EmergingCount()), 10)
+	buf = append(buf, `,"elapsed_ns":`...)
+	buf = strconv.AppendInt(buf, int64(statsElapsed(res)), 10)
+	buf = append(buf, `,"served_from_cache":`...)
+	buf = strconv.AppendBool(buf, res.CacheHit)
+	buf = append(buf, `,"joined_inflight":`...)
+	buf = strconv.AppendBool(buf, res.Joined)
+	buf = append(buf, `,"facts":[`...)
+	n := 0
+	for f := range res.KB.Matches(filter) {
+		if n == limit {
+			break
 		}
-		for _, o := range f.Objects {
-			fr.Objects = append(fr.Objects, o.String())
+		if n > 0 {
+			buf = append(buf, ',')
 		}
-		resp.Facts = append(resp.Facts, fr)
+		n++
+		buf = appendFact(buf, f)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return append(buf, "]}\n"...)
 }
 
 func handleAnswer(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
@@ -494,13 +478,14 @@ func handleFacts(opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 // factsParams parses what /facts takes on a leader and a follower
 // alike: ?since=, ?tau= and ?min_version=.
 func factsParams(w http.ResponseWriter, r *http.Request) (since uint64, tau float64, min uint64, ok bool) {
-	if since, ok = uintParam(w, r, "since"); !ok {
+	q := r.URL.Query()
+	if since, ok = uintParam(w, q, "since"); !ok {
 		return
 	}
-	if tau, ok = floatParam(w, r, "tau"); !ok {
+	if tau, ok = floatParam(w, q, "tau"); !ok {
 		return
 	}
-	min, ok = uintParam(w, r, "min_version")
+	min, ok = uintParam(w, q, "min_version")
 	return
 }
 
@@ -565,8 +550,8 @@ func intParam(v string, def, min int) (int, error) {
 // uintParam parses an optional unsigned query parameter (a version):
 // absent means 0, and a malformed value is a 400, reported through
 // ok=false with the response already written.
-func uintParam(w http.ResponseWriter, r *http.Request, name string) (n uint64, ok bool) {
-	v := r.URL.Query().Get(name)
+func uintParam(w http.ResponseWriter, q url.Values, name string) (n uint64, ok bool) {
+	v := q.Get(name)
 	if v == "" {
 		return 0, true
 	}
@@ -579,8 +564,8 @@ func uintParam(w http.ResponseWriter, r *http.Request, name string) (n uint64, o
 }
 
 // floatParam is uintParam for an optional float (a confidence threshold).
-func floatParam(w http.ResponseWriter, r *http.Request, name string) (f float64, ok bool) {
-	v := r.URL.Query().Get(name)
+func floatParam(w http.ResponseWriter, q url.Values, name string) (f float64, ok bool) {
+	v := q.Get(name)
 	if v == "" {
 		return 0, true
 	}

@@ -33,11 +33,11 @@ func handleDeltas(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.
 		http.Error(w, "no ingestion session configured (followers do not re-export /deltas)", http.StatusServiceUnavailable)
 		return
 	}
-	since, ok := uintParam(w, r, "since")
+	q := r.URL.Query()
+	since, ok := uintParam(w, q, "since")
 	if !ok {
 		return
 	}
-	q := r.URL.Query()
 	follow := q.Get("follow") != ""
 	s.counters.Add(CounterDeltaStreams, 1)
 	if follow {

@@ -2,10 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
+	"strconv"
 
 	"qkbfly"
-	"qkbfly/internal/kb/store"
 	"qkbfly/internal/query"
 )
 
@@ -46,61 +47,6 @@ type queryRequest struct {
 	MinVersion uint64 `json:"min_version"`
 }
 
-// valueRef is a bound value in a /query response.
-type valueRef struct {
-	Entity  string `json:"entity,omitempty"`
-	Literal string `json:"literal,omitempty"`
-	Time    bool   `json:"time,omitempty"`
-}
-
-// rowRef is one answer row: variable bindings plus one supporting fact
-// per clause. Version is stamped on NDJSON lines of incremental streams.
-type rowRef struct {
-	Version  uint64              `json:"version,omitempty"`
-	Bindings map[string]valueRef `json:"bindings"`
-	Facts    []factRef           `json:"facts"`
-}
-
-// queryResponse is the plain (non-streaming) /query JSON shape.
-type queryResponse struct {
-	Version         uint64   `json:"version"`
-	Pattern         string   `json:"pattern"`
-	Tau             float64  `json:"tau"`
-	Limit           int      `json:"limit"`
-	ServedFromCache bool     `json:"served_from_cache"`
-	Count           int      `json:"count"`
-	Rows            []rowRef `json:"rows"`
-}
-
-func valueRefFor(v store.Value) valueRef {
-	if v.IsEntity() {
-		return valueRef{Entity: v.EntityID}
-	}
-	return valueRef{Literal: v.Literal, Time: v.IsTime}
-}
-
-func rowFor(version uint64, row query.Row) rowRef {
-	out := rowRef{Version: version, Bindings: map[string]valueRef{}, Facts: []factRef{}}
-	for name, v := range row.Bindings {
-		out.Bindings[name] = valueRefFor(v)
-	}
-	for i := range row.Facts {
-		f := &row.Facts[i]
-		fr := factRef{
-			Subject:    f.Subject.String(),
-			Relation:   f.Relation,
-			Confidence: f.Confidence,
-			DocID:      f.Source.DocID,
-			Sentence:   f.Source.SentIndex,
-		}
-		for _, o := range f.Objects {
-			fr.Objects = append(fr.Objects, o.String())
-		}
-		out.Facts = append(out.Facts, fr)
-	}
-	return out
-}
-
 // parseQueryRequest folds GET parameters or a POST body into one
 // request, reporting a client error (written) via ok=false.
 func parseQueryRequest(w http.ResponseWriter, r *http.Request) (req queryRequest, ok bool) {
@@ -108,7 +54,7 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request) (req queryRequest
 	case http.MethodGet:
 		q := r.URL.Query()
 		req.Pattern = q.Get("pattern")
-		if req.Tau, ok = floatParam(w, r, "tau"); !ok {
+		if req.Tau, ok = floatParam(w, q, "tau"); !ok {
 			return req, false
 		}
 		limit, err := intParam(q.Get("limit"), 0, 0)
@@ -120,13 +66,13 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request) (req queryRequest
 		req.Stream = q.Get("stream") != ""
 		req.Follow = q.Get("follow") != ""
 		if q.Get("since") != "" {
-			n, ok := uintParam(w, r, "since")
+			n, ok := uintParam(w, q, "since")
 			if !ok {
 				return req, false
 			}
 			req.Since = &n
 		}
-		if req.MinVersion, ok = uintParam(w, r, "min_version"); !ok {
+		if req.MinVersion, ok = uintParam(w, q, "min_version"); !ok {
 			return req, false
 		}
 	case http.MethodPost:
@@ -144,6 +90,11 @@ func parseQueryRequest(w http.ResponseWriter, r *http.Request) (req queryRequest
 	}
 	if req.Limit < 0 {
 		http.Error(w, "invalid limit: negative", http.StatusBadRequest)
+		return req, false
+	}
+	if math.IsNaN(req.Tau) || math.IsInf(req.Tau, 0) {
+		// The answer echoes τ, and JSON has no spelling for these.
+		http.Error(w, "invalid tau: not a finite number", http.StatusBadRequest)
 		return req, false
 	}
 	return req, true
@@ -190,36 +141,52 @@ func handleQuery(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.R
 		_ = writeRows(startStream(w, snap.Version()), snap.Version(), rows)
 		return
 	}
-	rows, cached, err := s.QueryPattern(r.Context(), snap, p)
+	e, cached, err := s.queryPattern(r.Context(), snap, p)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	resp := queryResponse{
-		Version:         snap.Version(),
-		Pattern:         p.String(),
-		Tau:             p.Tau,
-		Limit:           p.Limit,
-		ServedFromCache: cached,
-		Count:           len(rows),
-		Rows:            []rowRef{},
-	}
-	for _, row := range rows {
-		rr := rowFor(0, row)
-		resp.Rows = append(resp.Rows, rr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryBody(w, snap.Version(), p, cached, len(e.rows), e.encoded())
 }
+
+// writeQueryBody writes the plain /query response around an answer's
+// encoded rows:
+//
+//	{"version","pattern","tau","limit","served_from_cache","count","rows"}
+func writeQueryBody(w http.ResponseWriter, version uint64, p *query.Pattern, cached bool, count int, rows []byte) {
+	bp := getBodyBuf()
+	defer putBodyBuf(bp)
+	head := append(*bp, `{"version":`...)
+	head = strconv.AppendUint(head, version, 10)
+	head = append(head, `,"pattern":`...)
+	head = appendJSONString(head, p.String())
+	head = append(head, `,"tau":`...)
+	head = appendJSONFloat(head, p.Tau)
+	head = append(head, `,"limit":`...)
+	head = strconv.AppendInt(head, int64(p.Limit), 10)
+	head = append(head, `,"served_from_cache":`...)
+	head = strconv.AppendBool(head, cached)
+	head = append(head, `,"count":`...)
+	head = strconv.AppendInt(head, int64(count), 10)
+	head = append(head, `,"rows":`...)
+	*bp = head
+	writeJSONBody(w, head, rows, bodyEnd)
+}
+
+// bodyEnd closes a response object written around cached bytes.
+var bodyEnd = []byte("}\n")
 
 // writeRows streams an executor's rows stamped with version v, as the
 // executor produces them.
 func writeRows(sw *streamWriter, v uint64, rows *query.Rows) error {
+	var line []byte
 	for {
 		row, ok := rows.Next()
 		if !ok {
 			return nil
 		}
-		if err := sw.encode(rowFor(v, row)); err != nil {
+		line = append(appendRow(line[:0], v, &row), '\n')
+		if err := sw.write(line); err != nil {
 			return err // client gone or write deadline hit
 		}
 	}
@@ -244,8 +211,10 @@ func streamIncremental(opt HandlerOptions, w http.ResponseWriter, r *http.Reques
 			return writeRows(sw, snap.Version(), rows)
 		},
 		func(ev qkbfly.DeltaEvent, sw *streamWriter) error {
+			var line []byte
 			for _, row := range query.EvalDelta(ev.Snap.Tree(), p, ev.Delta) {
-				if err := sw.encode(rowFor(ev.Version, row)); err != nil {
+				line = append(appendRow(line[:0], ev.Version, &row), '\n')
+				if err := sw.write(line); err != nil {
 					return err
 				}
 			}

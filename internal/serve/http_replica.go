@@ -94,25 +94,16 @@ func handleQueryReplica(opt HandlerOptions, w http.ResponseWriter, r *http.Reque
 	rows := query.ScanKB(kb, p)
 	if req.Stream {
 		sw := startStream(w, cur)
-		for _, row := range rows {
-			if sw.encode(rowFor(cur, row)) != nil {
+		var line []byte
+		for i := range rows {
+			line = append(appendRow(line[:0], cur, &rows[i]), '\n')
+			if sw.write(line) != nil {
 				return
 			}
 		}
 		return
 	}
-	resp := queryResponse{
-		Version: cur,
-		Pattern: p.String(),
-		Tau:     p.Tau,
-		Limit:   p.Limit,
-		Count:   len(rows),
-		Rows:    []rowRef{},
-	}
-	for _, row := range rows {
-		resp.Rows = append(resp.Rows, rowFor(0, row))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryBody(w, cur, p, false, len(rows), appendRows(nil, rows))
 }
 
 // handleSessionReplica is /session on a follower: the replica's served

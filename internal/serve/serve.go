@@ -2,7 +2,7 @@
 // that survives between queries so on-the-fly KB construction (Nguyen et
 // al., PVLDB 2017) does not start from scratch every time.
 //
-// A Server wraps a qkbfly.System behind three reuse mechanisms:
+// A Server wraps a qkbfly.System behind five reuse mechanisms:
 //
 //   - a query cache: finished KBs keyed by normalized query + build
 //     options, with LRU capacity and TTL eviction;
@@ -16,7 +16,11 @@
 //   - a run cache: partial merges of adjacent segments are
 //     content-addressed and reused, so overlapping queries, sessions
 //     sliding over the same documents, and repeated KBForDocs calls
-//     share merge work, not just per-document pipeline work.
+//     share merge work, not just per-document pipeline work;
+//   - encoded answers: a cached pattern answer (pattern cache,
+//     serve_query.go) keeps its /query JSON rows, encoded once on first
+//     read, so a hit copies bytes instead of re-encoding rows
+//     (encode.go).
 //
 // Because segment merging is order- and bracketing-deterministic, every
 // path — cold build, query-cache hit, singleflight join, segment
@@ -170,7 +174,7 @@ type Server struct {
 	runs     *cache[*store.Segment] // partial merges, by combined segment id
 	patterns *cache[*patternEntry]  // by cid+pattern key (see serve_query.go)
 	flight   *flightGroup[*Result]
-	pflight  *flightGroup[[]query.Row]
+	pflight  *flightGroup[*patternEntry]
 
 	// persistStats, when set (SetPersistStats), supplies the durable
 	// segment store's counters for /stats — blob writeback, fault-ins,
@@ -208,7 +212,7 @@ func New(backend Backend, opt Options) *Server {
 		runs:     newCache[*store.Segment](opt.RunCapacity, opt, counters, "", ""),
 		patterns: newCache[*patternEntry](opt.PatternCapacity, opt, counters, "", ""),
 		flight:   newFlightGroup[*Result](),
-		pflight:  newFlightGroup[[]query.Row](),
+		pflight:  newFlightGroup[*patternEntry](),
 	}
 }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"slices"
+	"sync"
 
 	"qkbfly"
 	"qkbfly/internal/query"
@@ -21,12 +23,24 @@ import (
 // hits warm.
 
 // patternEntry is one cached pattern answer: the rows plus the pattern
-// they answer, kept so maintenance can re-evaluate without re-parsing.
-// Rows and pattern are shared across callers — read-only.
+// they answer, kept so maintenance can re-evaluate without re-parsing,
+// and the rows' JSON array, encoded once on the entry's first read.
+// Rows, pattern and encoding are shared across callers — read-only.
 type patternEntry struct {
 	pat   *query.Pattern
 	canon string // pat.Canonical(), computed once at insertion
 	rows  []query.Row
+
+	encOnce sync.Once
+	enc     []byte
+}
+
+// encoded returns the rows as /query writes them, a JSON array of rows,
+// encoding them on first use.
+func (e *patternEntry) encoded() []byte {
+	// The clone drops the slack appending left, as the entry keeps it.
+	e.encOnce.Do(func() { e.enc = slices.Clone(appendRows(nil, e.rows)) })
+	return e.enc
 }
 
 // patternKey keys the result cache: content identity first, so one
@@ -46,6 +60,17 @@ func patternKey(cid, canonical string) string { return cid + "\x00" + canonical 
 // Snapshots without a content identity (anonymous segments — e.g. a
 // session over a bare System) evaluate uncached.
 func (s *Server) QueryPattern(ctx context.Context, snap *qkbfly.Snapshot, p *query.Pattern) ([]query.Row, bool, error) {
+	e, cached, err := s.queryPattern(ctx, snap, p)
+	if e == nil {
+		return nil, cached, err
+	}
+	return e.rows, cached, err
+}
+
+// queryPattern is QueryPattern returning the answer's entry, so /query
+// can write its encoded rows. An uncached answer comes in an entry of
+// its own that no cache holds.
+func (s *Server) queryPattern(ctx context.Context, snap *qkbfly.Snapshot, p *query.Pattern) (*patternEntry, bool, error) {
 	if err := p.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -55,28 +80,28 @@ func (s *Server) QueryPattern(ctx context.Context, snap *qkbfly.Snapshot, p *que
 		if err != nil {
 			return nil, false, err
 		}
-		return rows.Collect(), false, nil
+		return &patternEntry{pat: p, rows: rows.Collect()}, false, nil
 	}
 	canon := p.Canonical()
 	key := patternKey(cid, canon)
 	if e, ok := s.patterns.get(key); ok {
 		s.counters.Add(CounterPatternHits, 1)
-		return e.rows, true, nil
+		return e, true, nil
 	}
-	fr, joined, err := s.pflight.do(ctx, key, func() *flightResult[[]query.Row] {
+	fr, joined, err := s.pflight.do(ctx, key, func() *flightResult[*patternEntry] {
 		// Double-check under the flight, like KB() does.
 		if e, ok := s.patterns.get(key); ok {
 			s.counters.Add(CounterPatternHits, 1)
-			return &flightResult[[]query.Row]{res: e.rows, hit: true}
+			return &flightResult[*patternEntry]{res: e, hit: true}
 		}
 		s.counters.Add(CounterPatternMisses, 1)
 		it, err := snap.Query(p)
 		if err != nil {
-			return &flightResult[[]query.Row]{err: err}
+			return &flightResult[*patternEntry]{err: err}
 		}
-		rows := it.Collect()
-		s.patterns.put(key, &patternEntry{pat: p, canon: canon, rows: rows})
-		return &flightResult[[]query.Row]{res: rows}
+		e := &patternEntry{pat: p, canon: canon, rows: it.Collect()}
+		s.patterns.put(key, e)
+		return &flightResult[*patternEntry]{res: e}
 	})
 	if err != nil {
 		return nil, false, err // the joiner's own context was cancelled

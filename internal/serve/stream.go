@@ -22,8 +22,8 @@ const streamWriteTimeout = 15 * time.Second
 // deadline applies per write, not per stream: a healthy slow reader
 // that keeps draining never trips it.
 type streamWriter struct {
-	rc  *http.ResponseController
-	enc *json.Encoder
+	rc *http.ResponseController
+	w  http.ResponseWriter
 }
 
 // startStream begins an NDJSON response whose leading records are
@@ -34,18 +34,28 @@ func startStream(w http.ResponseWriter, cur uint64) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-QKBfly-Version", strconv.FormatUint(cur, 10))
 	w.WriteHeader(http.StatusOK)
-	return &streamWriter{rc: http.NewResponseController(w), enc: json.NewEncoder(w)}
+	return &streamWriter{rc: http.NewResponseController(w), w: w}
 }
 
-// encode writes one record and flushes it to the peer. A deadline
-// overrun surfaces as a write error; the handler treats it exactly like
-// a vanished client and ends the stream.
+// encode writes v as one JSON record line and flushes it to the peer.
 func (sw *streamWriter) encode(v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return sw.write(append(b, '\n'))
+}
+
+// write writes line, one already-encoded record ending in a newline, and
+// flushes it to the peer. A deadline overrun surfaces as a write error;
+// the handler treats it exactly like a vanished client and ends the
+// stream.
+func (sw *streamWriter) write(line []byte) error {
 	if err := sw.rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)); err != nil &&
 		!errors.Is(err, http.ErrNotSupported) {
 		return err
 	}
-	if err := sw.enc.Encode(v); err != nil {
+	if _, err := sw.w.Write(line); err != nil {
 		return err
 	}
 	if err := sw.rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
