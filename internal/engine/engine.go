@@ -267,22 +267,17 @@ func MergeShards(shards []*store.KB) *store.KB {
 
 // SealShards seals per-document KB shards into immutable store.Segments
 // — the bridge from RunShards output to the segmented substrate sessions
-// and the serving layer merge through. ids supplies each segment's cache
-// identity (use "" for uncacheable shards); times, when non-nil, stamps
-// each segment's pipeline cost for saved-time accounting. Nil shards
-// (not reached before cancellation) yield nil segments at the same
-// positions.
-func SealShards(shards []*store.KB, ids []string, times []time.Duration) []*store.Segment {
+// and the serving layer merge through. The segments carry no label;
+// times, when non-nil, stamps each segment's pipeline cost for
+// saved-time accounting. Nil shards (not reached before cancellation)
+// yield nil segments at the same positions.
+func SealShards(shards []*store.KB, times []time.Duration) []*store.Segment {
 	segs := make([]*store.Segment, len(shards))
 	for i, shard := range shards {
 		if shard == nil {
 			continue
 		}
-		id := ""
-		if i < len(ids) {
-			id = ids[i]
-		}
-		segs[i] = store.SealSegment(shard, id)
+		segs[i] = store.SealSegment(shard, "")
 		if times != nil && i < len(times) {
 			segs[i].SetBuildTime(times[i])
 		}

@@ -7,7 +7,7 @@
 //	header checksum (fnv64a, 8 bytes LE) | body checksum (8 bytes LE)
 //	header | body
 //
-// The header carries the segment's metadata (cache identity, document
+// The header carries the segment's metadata (leaf label, document
 // count, build time, fact/entity counts, body length) and is covered by
 // its own checksum, so a restart can construct a demoted Segment from a
 // small prefix read without touching the payload. The body is verified
@@ -51,9 +51,8 @@ const segFormatVersion = 2
 const segFixedHeaderLen = 25
 
 // SegmentInfoPrefix is a read size guaranteed to cover the fixed prefix
-// plus any realistic variable header (whose dominant field is the cache
-// identity, capped near 128 bytes by combineSegmentIDs plus document-ID
-// sized leaf identities).
+// plus any realistic variable header, whose dominant field is the leaf
+// label (a document ID plus build options; merged segments carry none).
 const SegmentInfoPrefix = 4096
 
 // ErrShortBlob reports a blob (or blob prefix) too short to decode.
@@ -66,7 +65,7 @@ var ErrBlobChecksum = errors.New("store: segment blob checksum mismatch")
 // SegmentInfo is the decoded blob header: everything needed to construct
 // a demoted Segment without reading the payload.
 type SegmentInfo struct {
-	ID        string // cache identity ("" = uncacheable)
+	ID        string // leaf label (see Segment.ID)
 	Docs      int
 	BuildTime time.Duration
 	Facts     int
@@ -204,7 +203,7 @@ func DecodeSegment(blob []byte) (*Segment, error) {
 	}
 	hlen := int(binary.LittleEndian.Uint32(blob[5:9]))
 	bodyStart := segFixedHeaderLen + hlen
-	if bodyStart+info.BodyLen > len(blob) {
+	if info.BodyLen < 0 || bodyStart+info.BodyLen > len(blob) {
 		return nil, ErrShortBlob
 	}
 	body := blob[bodyStart : bodyStart+info.BodyLen]
@@ -213,6 +212,10 @@ func DecodeSegment(blob []byte) (*Segment, error) {
 	}
 
 	n, ne := info.Facts, info.Ents
+	// Every fact and entity takes at least one body byte.
+	if n < 0 || ne < 0 || n > len(body) || ne > len(body) {
+		return nil, fmt.Errorf("store: segment blob counts: %w", ErrShortBlob)
+	}
 	d := &segData{
 		facts:  make([]Fact, n),
 		keys:   make([]string, n),
@@ -263,12 +266,13 @@ func DecodeSegment(blob []byte) (*Segment, error) {
 				f.Objects[j] = r.value()
 			}
 		}
-		f.Confidence = math.Float64frombits(binary.LittleEndian.Uint64(r.bytes(8)))
+		conf := r.bytes(8)
 		f.Source.DocID = intern.B(r.bytes(int(r.uvarint())))
 		f.Source.SentIndex = int(r.uvarint())
 		if r.err != nil {
 			return nil, fmt.Errorf("store: segment blob fact %d: %w", i, r.err)
 		}
+		f.Confidence = math.Float64frombits(binary.LittleEndian.Uint64(conf))
 	}
 	for i := 0; i < ne; i++ {
 		var e EntityRecord

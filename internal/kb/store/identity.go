@@ -48,13 +48,16 @@ func (a Identity) Sub(b Identity) Identity {
 }
 
 // Hex renders the identity as 64 big-endian hex digits — the form the
-// replication stamp, the durable seal and /stats carry.
+// replication stamp, the durable seal and /stats carry. The string is
+// its only allocation.
 func (a Identity) Hex() string {
 	var b [32]byte
 	for i := range a {
 		binary.BigEndian.PutUint64(b[24-8*i:], a[i])
 	}
-	return hex.EncodeToString(b[:])
+	var h [64]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // ParseIdentity is the inverse of Identity.Hex.

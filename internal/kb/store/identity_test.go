@@ -345,3 +345,21 @@ func (kb *KB) factByKey(key string) (*Fact, bool) {
 	}
 	return &kb.facts[i], true
 }
+
+// FuzzParseIdentity: ParseIdentity never panics, and accepts only what
+// Hex writes back, up to the case of the hex digits.
+func FuzzParseIdentity(f *testing.F) {
+	for _, s := range []string{"", "00", strings.Repeat("g", 64), strings.Repeat("0", 65),
+		Identity{1, 2, 3, 4}.Hex(), strings.ToUpper(Identity{^uint64(0), 7, 0, 1 << 63}.Hex())} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		id, err := ParseIdentity(s)
+		if err != nil {
+			return
+		}
+		if got := id.Hex(); got != strings.ToLower(s) {
+			t.Fatalf("ParseIdentity(%q) = %s", s, got)
+		}
+	})
+}

@@ -252,28 +252,3 @@ func (c *TreeCursor) Next() (key string, f Fact, ok bool) {
 	}
 	return key, f, true
 }
-
-// ContentID returns a compact structural identity for the tree's
-// content: the fold of its runs' segment identities, exactly the
-// identity MergeSegments would stamp on their full merge. Two trees with
-// equal ContentID materialize to byte-identical KBs, so immutable
-// snapshot results (query answers, plans) can be cached under it without
-// ever materializing. "" means uncacheable — some run contains an
-// anonymous (identity-less) segment. The empty tree has a fixed
-// non-empty identity.
-func (t *Tree) ContentID() string {
-	if len(t.runs) == 0 {
-		return "\x00empty"
-	}
-	id := t.runs[0].seg.id
-	for _, r := range t.runs[1:] {
-		id = combineSegmentIDs(id, r.seg.id)
-		if id == "" {
-			return ""
-		}
-	}
-	if id == "" {
-		return ""
-	}
-	return id
-}

@@ -221,35 +221,6 @@ func TestTreeEstimatePrefix(t *testing.T) {
 	}
 }
 
-// TestTreeContentID: structural identities are stable, distinguish
-// different contents, poison on anonymous segments, and give the empty
-// tree a fixed cacheable identity.
-func TestTreeContentID(t *testing.T) {
-	empty := NewTree(nil)
-	if empty.ContentID() == "" {
-		t.Fatal("empty tree must be cacheable")
-	}
-	rng := rand.New(rand.NewSource(5))
-	a, b := randShard(rng, "a"), randShard(rng, "b")
-	t1 := NewTree(nil).Push(SealSegment(a, "a"), 0).Push(SealSegment(b, "b"), 1)
-	t2 := NewTree(nil).Push(SealSegment(a, "a"), 0).Push(SealSegment(b, "b"), 1)
-	if t1.ContentID() == "" || t1.ContentID() != t2.ContentID() {
-		t.Fatalf("identical trees disagree: %q vs %q", t1.ContentID(), t2.ContentID())
-	}
-	t3 := NewTree(nil).Push(SealSegment(b, "b"), 0).Push(SealSegment(a, "a"), 1)
-	if t3.ContentID() == t1.ContentID() {
-		t.Fatal("different content shares an identity")
-	}
-	anon := NewTree(nil).Push(SealSegment(a, ""), 0)
-	if anon.ContentID() != "" {
-		t.Fatal("anonymous segment must poison the identity")
-	}
-	anon2 := NewTree(nil).Push(SealSegment(a, "a"), 0).Push(SealSegment(b, ""), 1)
-	if anon2.ContentID() != "" {
-		t.Fatal("anonymous segment in a later run must poison the identity")
-	}
-}
-
 // posEntriesOf derives the reference POS index of a materialized KB:
 // one entry per (fact, distinct object value), keyed
 // relation|objKey|dedupKey, plus a single zero-object entry for

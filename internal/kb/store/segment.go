@@ -21,7 +21,6 @@ package store
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
@@ -169,10 +168,10 @@ var segClock atomic.Uint64
 // transparently on access. Segments may be shared between goroutines,
 // sessions and caches without synchronization.
 type Segment struct {
-	// id identifies the segment's content for partial-merge caching:
-	// leaf segments are stamped by their builder (document ID + build
-	// options), merged segments derive theirs from their inputs. Empty
-	// means "not cacheable" (e.g. anonymous documents).
+	// id is a leaf segment's label, stamped by its builder (document ID
+	// plus build options) and carried in its blob header for diagnostics.
+	// It keys nothing; merged segments carry none. Content is named by
+	// its Identity.
 	id string
 	// docs counts the document shards folded into this segment.
 	docs int
@@ -342,7 +341,7 @@ func (s *Segment) seal(d *segData) *Segment {
 // SealSegment freezes a KB shard into an immutable Segment. The shard's
 // facts, dedup keys and entity records are deep-copied, so the source KB
 // can keep being mutated (or discarded) afterwards. id is the segment's
-// cache identity ("" = uncacheable).
+// label (see Segment.ID); it does not affect content.
 func SealSegment(kb *KB, id string) *Segment {
 	d := &segData{
 		facts:  make([]Fact, len(kb.facts)),
@@ -395,7 +394,9 @@ func unionEntity(dst, src *EntityRecord) {
 	}
 }
 
-// ID returns the segment's cache identity ("" when uncacheable).
+// ID returns the label the segment was sealed with ("" for merged and
+// anonymous segments). Caches key segments by pointer and versions by
+// Identity, never by label.
 func (s *Segment) ID() string { return s.id }
 
 // Docs returns the number of document shards folded into the segment.
@@ -590,7 +591,6 @@ func MergeSegments(a, b *Segment) *Segment {
 	}
 	out.entSorted = append(out.entSorted, ad.entSorted[ai:]...)
 	m := (&Segment{
-		id:        combineSegmentIDs(a.id, b.id),
 		docs:      a.docs + b.docs,
 		buildTime: a.buildTime + b.buildTime,
 	}).seal(out)
@@ -605,7 +605,7 @@ func MergeSegments(a, b *Segment) *Segment {
 }
 
 // LazyMergeSegments returns the merge of a and b as a born-demoted
-// segment: identity metadata travels from the inputs as usual, but the
+// segment: metadata travels from the inputs as usual, but the
 // merged payload is built by the self-heal loader on first access
 // instead of eagerly. factCount and entCount must be the exact counts
 // MergeSegments(a, b) would produce — faultIn verifies them — so callers
@@ -614,7 +614,7 @@ func MergeSegments(a, b *Segment) *Segment {
 // the deferred payload is identical to the eager one.
 func LazyMergeSegments(a, b *Segment, factCount, entCount int) *Segment {
 	return NewDemotedSegment(
-		combineSegmentIDs(a.id, b.id),
+		"",
 		a.docs+b.docs,
 		a.buildTime+b.buildTime,
 		factCount, entCount,
@@ -701,28 +701,6 @@ func RestoreMergeFunc() MergeFunc {
 		aux[m] = &restoreAux{keys: keys, ents: ents}
 		return m
 	}
-}
-
-// CombinedSegmentID returns the cache identity MergeSegments(a, b) would
-// stamp on its result ("" when either input is uncacheable) — what a
-// caching MergeFunc keys its lookups by before paying for the merge.
-func CombinedSegmentID(a, b *Segment) string { return combineSegmentIDs(a.id, b.id) }
-
-// combineSegmentIDs derives a merged segment's cache identity from its
-// inputs. Either input being uncacheable poisons the merge; long
-// identities collapse to a fixed-size content hash so deep merge trees
-// keep O(1)-sized keys.
-func combineSegmentIDs(a, b string) string {
-	if a == "" || b == "" {
-		return ""
-	}
-	id := a + "\x01" + b
-	if len(id) <= 128 {
-		return id
-	}
-	h := fnv.New128a()
-	h.Write([]byte(id))
-	return "h\x02" + string(h.Sum(nil))
 }
 
 // MergeSegment folds a segment into the KB — the materialization step of

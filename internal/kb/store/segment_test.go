@@ -181,21 +181,3 @@ func TestMergeSegmentsMatchesFlatMergeExactly(t *testing.T) {
 		sameKB(t, MaterializeRuns([]*Segment{a, b}), want, fmt.Sprintf("seed %d two runs", seed))
 	}
 }
-
-// TestCombineSegmentIDs: identity combination is deterministic, poisons
-// on uncacheable inputs, and caps unbounded growth.
-func TestCombineSegmentIDs(t *testing.T) {
-	if got := combineSegmentIDs("a", "b"); got != "a\x01b" {
-		t.Errorf("combine(a,b) = %q", got)
-	}
-	if got := combineSegmentIDs("", "b"); got != "" {
-		t.Errorf("combine with uncacheable input = %q, want empty", got)
-	}
-	long := combineSegmentIDs(string(make([]byte, 200)), "x")
-	if len(long) > 64 {
-		t.Errorf("long identity not hashed: %d bytes", len(long))
-	}
-	if long != combineSegmentIDs(string(make([]byte, 200)), "x") {
-		t.Error("hashed identity not deterministic")
-	}
-}

@@ -169,8 +169,8 @@ func (t *Tree) Compact() (*Tree, bool) { return t.CompactContext(context.Backgro
 // runs are re-pushed oldest-first onto a stack, and while the two newest
 // stack entries have equal leaf counts they merge into their parent. For
 // a tree built by Append over a Push-compacted prefix this reproduces
-// exactly the run layout (and therefore the run identities and
-// ContentID) that inline compaction would have produced; after
+// exactly the run layout (the same runs over the same documents) that
+// inline compaction would have produced; after
 // evictions, whose splits Push itself never re-merges mid-sequence, it
 // may compact further. Either way the result materializes to the same
 // KB — segment merging is associative in content and layout.

@@ -22,7 +22,7 @@ func (fx *treeFixture) appendLoose(rng *rand.Rand) {
 
 // TestTreeCompactReproducesPushLayout: a tree grown purely by Append
 // compacts to exactly the layout sequential Push would have built — same
-// run count, same run identities (ContentID), same materialized KB. This
+// run count, same arrival span per run, same materialized KB. This
 // is what lets a background job publish its compacted tree back through
 // the session with an identity check instead of a re-merge.
 func TestTreeCompactReproducesPushLayout(t *testing.T) {
@@ -46,8 +46,11 @@ func TestTreeCompactReproducesPushLayout(t *testing.T) {
 		if compacted.RunCount() != pushed.RunCount() {
 			t.Fatalf("n=%d: compacted to %d runs, Push builds %d", n, compacted.RunCount(), pushed.RunCount())
 		}
-		if got, want := compacted.ContentID(), pushed.ContentID(); got != want {
-			t.Fatalf("n=%d: compacted ContentID %q differs from Push layout %q", n, got, want)
+		for i, r := range compacted.runs {
+			if p := pushed.runs[i]; r.lo != p.lo || r.hi != p.hi || r.leaves != p.leaves {
+				t.Fatalf("n=%d: run %d spans [%d,%d] (%d leaves), Push builds [%d,%d] (%d leaves)",
+					n, i, r.lo, r.hi, r.leaves, p.lo, p.hi, p.leaves)
+			}
 		}
 		if got, want := compacted.Materialize().Fingerprint(), pushed.Materialize().Fingerprint(); got != want {
 			t.Fatalf("n=%d: compacted tree fingerprint differs from Push-built tree", n)

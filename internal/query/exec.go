@@ -1,9 +1,11 @@
 package query
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
+	"qkbfly/internal/intern"
 	"qkbfly/internal/kb/store"
 )
 
@@ -408,12 +410,56 @@ func (r *Rows) captureRow() (Row, bool) {
 	for d, ci := range r.order {
 		row.Facts[ci] = r.facts[d]
 	}
+	respell(r.clauses, &row)
 	key := row.Key()
 	if r.seen[key] {
 		return Row{}, false
 	}
 	r.seen[key] = true
 	return row, true
+}
+
+// respell spells each variable's value as its first occurrence in
+// written clause order spells it in the row's evidence — the spelling
+// ScanKB binds. Matching is case-insensitive, so the clause that binds
+// a variable first in plan order may spell it differently (a literal
+// join, or a row Verify re-checked after its evidence was respelled);
+// respelling makes the row a function of its evidence, not of the plan.
+func respell(clauses []Clause, row *Row) {
+	var buf [8]string
+	spelled := buf[:0]
+	for ci := range clauses {
+		c, f := &clauses[ci], &row.Facts[ci]
+		for pos, t := range [3]*Term{&c.Subject, &c.Predicate, &c.Object} {
+			if t.Kind != TermVar || slices.Contains(spelled, t.Name) {
+				continue
+			}
+			spelled = append(spelled, t.Name)
+			switch {
+			case pos == 0:
+				row.Bindings[t.Name] = f.Subject
+			case pos == 1:
+				row.Bindings[t.Name] = store.Value{Literal: f.Relation}
+			default:
+				bound := row.Bindings[t.Name]
+				for _, o := range f.Objects {
+					if sameValueKey(o, bound) {
+						row.Bindings[t.Name] = o
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameValueKey reports whether store.ValueKey(a) == store.ValueKey(b),
+// without building either key.
+func sameValueKey(a, b store.Value) bool {
+	if a.IsEntity() || b.IsEntity() {
+		return a.EntityID == b.EntityID
+	}
+	return a.Literal == b.Literal || intern.Lower(a.Literal) == intern.Lower(b.Literal)
 }
 
 // bindExt is one way a single fact can satisfy a single clause: the
@@ -636,13 +682,14 @@ func EvalDelta(t *store.Tree, p *Pattern, d store.Delta) []Row {
 	return out
 }
 
-// Verify re-checks one complete binding assignment against the current
-// tree: it reports whether bindings (which must cover every variable of
-// p) still form an answer row of p, and returns the row with its
-// supporting facts refreshed to the tree's current winners. This is the
-// row-level re-check cached answers go through when a delta removes or
-// upgrades a fact a row cited — the row may survive on alternate
-// support, so dropping it outright would under-answer.
+// Verify re-checks one answer row against the current tree: it reports
+// whether a row with the same bindings (which must cover every variable
+// of p), spelled as its evidence spells them, is still an answer of p,
+// and returns it with its supporting facts refreshed to the tree's
+// current winners. This is the row-level re-check cached answers go
+// through when a delta removes or upgrades a fact a row cited — the row
+// may survive on alternate support, so dropping it outright would
+// under-answer.
 func Verify(t *store.Tree, p *Pattern, bindings map[string]store.Value) (Row, bool) {
 	if t == nil || p.validate() != nil {
 		return Row{}, false
@@ -653,6 +700,15 @@ func Verify(t *store.Tree, p *Pattern, bindings map[string]store.Value) (Row, bo
 		seed[n] = v
 		boundSet[n] = true
 	}
+	// Matching ignores case, so the seeded run may also find evidence
+	// spelling a binding otherwise: that is another row.
+	want := Row{Bindings: bindings}.Key()
 	plan := planClauses(t, p.Clauses, boundSet)
-	return runSub(t, p.Clauses, plan.Order, p.Tau, 1, seed, nil).Next()
+	rows := runSub(t, p.Clauses, plan.Order, p.Tau, 0, seed, nil)
+	for row, ok := rows.Next(); ok; row, ok = rows.Next() {
+		if row.Key() == want {
+			return row, true
+		}
+	}
+	return Row{}, false
 }

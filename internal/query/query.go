@@ -17,7 +17,10 @@
 //     the only object term that matches a zero-object fact).
 //   - Equality is index equality: entity values compare by ID, literal
 //     values and relations compare case-insensitively (the dedup key
-//     lowers them). Bound values keep their surface spelling.
+//     lowers them). Bound values keep their surface spelling: a
+//     variable is spelled as its first occurrence in written clause
+//     order spells it in the row's supporting facts, whatever order the
+//     plan bound it in.
 //   - A fact participates only when Confidence ≥ τ.
 //
 // Result rows are distinct over their exact bindings. A Rows iterator
@@ -27,6 +30,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -230,40 +234,60 @@ func parseTerm(t token, predicate bool) (Term, error) {
 // Canonical returns the normalized form of the pattern — the serve
 // layer's cache key component. Variables are α-renamed in order of first
 // appearance, constants are rendered in index-key form (entities as
-// e:<id>, literals and relations lowered), and τ and limit are folded
-// in, so two patterns that can only ever produce identical results map
-// to one key.
+// e:<id>, literals and relations lowered and quoted), and τ and limit
+// are folded in, so two patterns that can only ever produce identical
+// results map to one key. The clauses are in the Parse grammar: parsing
+// them back, with τ and limit set again, gives the same form.
 func (p *Pattern) Canonical() string {
-	rename := map[string]string{}
-	term := func(t Term, predicate bool) string {
-		switch t.Kind {
-		case TermWild:
-			return "_"
-		case TermVar:
-			if _, ok := rename[t.Name]; !ok {
-				rename[t.Name] = "?" + strconv.Itoa(len(rename))
-			}
-			return rename[t.Name]
-		default:
-			if predicate {
-				return store.RelKey(t.Value.Literal)
-			}
-			return store.ValueKey(t.Value)
-		}
-	}
-	var b strings.Builder
-	for i, c := range p.Clauses {
+	var buf [8]string
+	names := buf[:0] // a variable's canonical name is its index here
+	b := make([]byte, 0, 64)
+	for i := range p.Clauses {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, " ; "...)
 		}
-		b.WriteString(term(c.Subject, false))
-		b.WriteByte(' ')
-		b.WriteString(term(c.Predicate, true))
-		b.WriteByte(' ')
-		b.WriteString(term(c.Object, false))
+		c := &p.Clauses[i]
+		for pos, t := range [3]*Term{&c.Subject, &c.Predicate, &c.Object} {
+			if pos > 0 {
+				b = append(b, ' ')
+			}
+			switch {
+			case t.Kind == TermWild:
+				b = append(b, '_')
+			case t.Kind == TermVar:
+				n := slices.Index(names, t.Name)
+				if n < 0 {
+					n = len(names)
+					names = append(names, t.Name)
+				}
+				b = append(b, '?')
+				b = strconv.AppendInt(b, int64(n), 10)
+			case pos != 1 && t.Value.IsEntity():
+				b = append(b, "e:"...)
+				b = append(b, t.Value.EntityID...)
+			default:
+				b = appendQuoted(b, store.RelKey(t.Value.Literal))
+			}
+		}
 	}
-	fmt.Fprintf(&b, "|tau=%g|limit=%d", p.Tau, p.Limit)
-	return b.String()
+	b = append(b, "|tau="...)
+	b = strconv.AppendFloat(b, p.Tau, 'g', -1, 64)
+	b = append(b, "|limit="...)
+	b = strconv.AppendInt(b, int64(p.Limit), 10)
+	return string(b)
+}
+
+// appendQuoted appends s as a quoted token of the Parse grammar: a
+// backslash before each quote and backslash.
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' || s[i] == '\\' {
+			b = append(b, '\\')
+		}
+		b = append(b, s[i])
+	}
+	return append(b, '"')
 }
 
 // String renders the pattern back in source grammar (surface spellings,

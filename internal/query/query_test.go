@@ -119,6 +119,50 @@ func TestRunMatchesScanReference(t *testing.T) {
 	}
 }
 
+// TestRunMatchesScanReferenceAcrossSpellings: with literals spelled in
+// either case, matching ignores case, so which fact binds a variable
+// first depends on the plan. Rows must still equal the reference's,
+// which binds in written clause order, and Verify must keep each row
+// as it is.
+func TestRunMatchesScanReferenceAcrossSpellings(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(700 + seed))
+		tree := store.NewTree(nil)
+		for s, n := 0, 1+rng.Intn(6); s < n; s++ {
+			kb := store.New()
+			doc := fmt.Sprintf("doc%d", s)
+			for i, m := 0, 4+rng.Intn(12); i < m; i++ {
+				f := randFact(rng, doc, i)
+				for j := range f.Objects {
+					if rng.Intn(2) == 0 {
+						f.Objects[j].Literal = strings.ToUpper(f.Objects[j].Literal)
+					}
+				}
+				kb.AddFact(f)
+			}
+			tree = tree.Push(store.SealSegment(kb, doc), uint64(s))
+		}
+		kb := tree.Materialize()
+		for q := 0; q < 8; q++ {
+			p := randPattern(rng)
+			rows, err := Run(tree, p)
+			if err != nil {
+				t.Fatalf("seed %d: Run: %v", seed, err)
+			}
+			all := rows.Collect()
+			if got, want := rowKeys(all), rowKeys(ScanKB(kb, p)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d pattern %q tau=%g:\nengine    %v\nreference %v",
+					seed, p.String(), p.Tau, got, want)
+			}
+			for _, r := range all {
+				if vr, ok := Verify(tree, p, r.Bindings); !ok || vr.Key() != r.Key() {
+					t.Fatalf("seed %d pattern %q: row %q verified as %q (ok=%v)", seed, p.String(), r.Key(), vr.Key(), ok)
+				}
+			}
+		}
+	}
+}
+
 // TestRunSupportingFacts: every emitted row's supporting facts actually
 // satisfy their clauses under the row's bindings and pass τ.
 func TestRunSupportingFacts(t *testing.T) {
@@ -536,4 +580,33 @@ func TestVerifyRowMaintainsSupport(t *testing.T) {
 	}); ok {
 		t.Fatal("unsupported binding assignment verified")
 	}
+}
+
+// FuzzParsePattern: Parse never panics, and the canonical form of a
+// pattern it accepts parses back, with τ and limit set again, to the
+// same canonical form.
+func FuzzParsePattern(f *testing.F) {
+	for _, src := range []string{
+		`?a "plays for" "New York" ; e:E1 rel ?a`, "?a rel ?b\n?b rel ?c",
+		`?x Plays_For ?y ; ?y based_in "Lyon"`, `e:Solo ?r _`, `?s "a \"q\" \\ b" ?o`,
+		"", "?a rel", `?a "unterminated`, "? rel x", "e: rel x", "?a e:E1 ?b", "a b c d",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		canon := p.Canonical()
+		clauses := canon[:strings.LastIndex(canon, "|tau=")]
+		back, err := Parse(clauses)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not parse: %v", canon, src, err)
+		}
+		back.Tau, back.Limit = p.Tau, p.Limit
+		if got := back.Canonical(); got != canon {
+			t.Fatalf("canonical form %q of %q parses back to %q", canon, src, got)
+		}
+	})
 }

@@ -378,11 +378,11 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		checker.RecordLeader(snap.Version(), sess.FingerprintSHA(snap))
+		checker.RecordLeader(snap.Version(), snap.ContentID())
 		if i%13 == 12 {
 			// A removal-only version: delta subscribers must see it too.
 			if snap, n := sess.Evict(fmt.Sprintf("d%04d", i)); n == 1 {
-				checker.RecordLeader(snap.Version(), sess.FingerprintSHA(snap))
+				checker.RecordLeader(snap.Version(), snap.ContentID())
 			}
 		}
 		waitWithin(t, cold, sess.Version(), 2, 30*time.Second)
@@ -409,7 +409,7 @@ func TestFollowerConvergesUnderFaults(t *testing.T) {
 	}
 
 	head := sess.Snapshot()
-	wantSHA := sess.FingerprintSHA(head)
+	wantSHA := head.ContentID()
 	waitConverged(t, cold, head.Version(), wantSHA, 30*time.Second)
 	waitConverged(t, warm, head.Version(), wantSHA, 30*time.Second)
 	cold.stop()
@@ -499,7 +499,7 @@ func TestFollowerQuarantinesCorruptDelta(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ingest %d: %v", i, err)
 				}
-				checker.RecordLeader(snap.Version(), sess.FingerprintSHA(snap))
+				checker.RecordLeader(snap.Version(), snap.ContentID())
 				fingerprints[snap.Version()] = snap.Fingerprint()
 			}
 			ct := &corruptingTransport{base: httpDial(ts.Client()), corrupt: tc.corrupt, resync: make(chan struct{})}
@@ -540,7 +540,7 @@ func TestFollowerQuarantinesCorruptDelta(t *testing.T) {
 			close(ct.resync)
 
 			head := sess.Snapshot()
-			waitConverged(t, rf, head.Version(), sess.FingerprintSHA(head), 15*time.Second)
+			waitConverged(t, rf, head.Version(), head.ContentID(), 15*time.Second)
 			rf.stop()
 
 			c := f.Counters()
@@ -612,10 +612,10 @@ func TestFollowerConcurrentReaders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stamps[snap.Version()] = sess.FingerprintSHA(snap)
+		stamps[snap.Version()] = snap.ContentID()
 		if i%7 == 6 {
 			if snap, n := sess.Evict(fmt.Sprintf("r%03d", i-3)); n == 1 {
-				stamps[snap.Version()] = sess.FingerprintSHA(snap)
+				stamps[snap.Version()] = snap.ContentID()
 			}
 		}
 		if i%4 == 3 {
@@ -623,7 +623,7 @@ func TestFollowerConcurrentReaders(t *testing.T) {
 		}
 	}
 	head := sess.Snapshot()
-	waitConverged(t, rf, head.Version(), sess.FingerprintSHA(head), 15*time.Second)
+	waitConverged(t, rf, head.Version(), head.ContentID(), 15*time.Second)
 	stop.Store(true)
 	wg.Wait()
 
@@ -773,10 +773,10 @@ func TestFollowerBootstrapFromBlobStore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		checker.RecordLeader(snap.Version(), sess2.FingerprintSHA(snap))
+		checker.RecordLeader(snap.Version(), snap.ContentID())
 	}
 	head := sess2.Snapshot()
-	waitConverged(t, rf, head.Version(), sess2.FingerprintSHA(head), 15*time.Second)
+	waitConverged(t, rf, head.Version(), head.ContentID(), 15*time.Second)
 	rf.stop()
 
 	c := f.Counters()

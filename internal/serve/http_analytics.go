@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -19,11 +17,11 @@ import (
 //
 // The plain response is the tracker's Summary (fact/entity totals,
 // confidence histogram, per-predicate stats, per-type and per-document
-// counts) plus the retained per-version growth records, stamped with an
-// opaque content key (derived from the snapshot ContentID when the
-// session's segments carry cache identities) so clients can detect
+// counts) plus the retained per-version growth records, stamped with
+// the version's content identity (content_id, equal to the /deltas
+// fingerprint_sha256 of the same version) so clients can detect
 // "nothing changed" across polls. The marshaled body is cached per
-// content key: repeated polls of an idle session serve identical bytes
+// version: repeated polls of an idle session serve identical bytes
 // without re-marshaling.
 //
 // With ?follow=1 the response is NDJSON: one summary record, then one
@@ -52,39 +50,40 @@ func handleAnalytics(c *analyticsCache, opt HandlerOptions, w http.ResponseWrite
 // analyticsResponse is the /analytics JSON shape.
 type analyticsResponse struct {
 	*analytics.Summary
-	// ContentID is the hex SHA-256 of the snapshot content key the
-	// summary corresponds to: equal IDs across polls mean byte-identical
-	// analytics.
+	// ContentID is the hex content identity (store.Identity) of the
+	// version the summary describes — the /deltas fingerprint_sha256 of
+	// that version. Equal IDs mean equal content, so equal aggregates.
 	ContentID       string                   `json:"content_id"`
 	ServedFromCache bool                     `json:"served_from_cache"`
 	Growth          []analytics.VersionDelta `json:"growth"`
 }
 
-// analyticsCache memoizes the marshaled /analytics body per snapshot
-// content key — the summary only changes when a version publishes, so
-// polls between versions serve identical bytes.
+// analyticsCache memoizes the marshaled /analytics body per version.
+// The body carries the version and its growth records, which change
+// with every version even when the content (and so the identity) does
+// not, so the key is the summary the tracker computed for the version:
+// one per version, and a new one after a resync.
 type analyticsCache struct {
-	mu      sync.Mutex
-	key     string
-	body    []byte
-	version uint64
+	mu   sync.Mutex
+	sum  *analytics.Summary
+	body []byte
 }
 
 // respond returns the response body for the tracker's current state,
-// serving the cached marshal when the content key is unchanged. The
-// first poll after a version publishes reports served_from_cache=false
-// (it paid the summarize+marshal); every later poll of the same key
+// serving the cached marshal while the version is unchanged. The first
+// poll after a version publishes reports served_from_cache=false (it
+// paid the summarize+marshal); every later poll of the same version
 // serves the cached bytes, marked true.
 func (c *analyticsCache) respond(tr *qkbfly.AnalyticsTracker) (body []byte, version uint64) {
-	sum, key, _ := tr.Summary()
+	sum, id, _ := tr.Summary()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.key == key && c.body != nil {
-		return c.body, c.version
+	if c.sum == sum {
+		return c.body, sum.Version
 	}
 	resp := analyticsResponse{
 		Summary:   sum,
-		ContentID: contentKeySHA(key),
+		ContentID: id.Hex(),
 		Growth:    tr.Growth(),
 	}
 	if resp.Growth == nil {
@@ -92,7 +91,7 @@ func (c *analyticsCache) respond(tr *qkbfly.AnalyticsTracker) (body []byte, vers
 	}
 	first := marshalAnalytics(resp)
 	resp.ServedFromCache = true
-	c.key, c.body, c.version = key, marshalAnalytics(resp), sum.Version
+	c.sum, c.body = sum, marshalAnalytics(resp)
 	return first, sum.Version
 }
 
@@ -105,24 +104,16 @@ func marshalAnalytics(resp analyticsResponse) []byte {
 	return append(b, '\n')
 }
 
-// contentKeySHA digests an opaque snapshot content key for exposure:
-// keys may be long or contain binary separators; the hex digest is
-// stable and printable.
-func contentKeySHA(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
-
 // followAnalytics is the ?follow=1 NDJSON stream: current summary first,
 // then one analytic delta per published version.
 func followAnalytics(tr *qkbfly.AnalyticsTracker, opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	// Attach the live tail before reading the summary so no version can
 	// fall between the two; followTail skips the ones it already covers.
 	live := tr.WatchAnalytics(r.Context())
-	sum, key, _ := tr.Summary()
+	sum, id, _ := tr.Summary()
 
 	sw := startStream(w, sum.Version)
-	first := analyticsResponse{Summary: sum, ContentID: contentKeySHA(key), ServedFromCache: true, Growth: []analytics.VersionDelta{}}
+	first := analyticsResponse{Summary: sum, ContentID: id.Hex(), ServedFromCache: true, Growth: []analytics.VersionDelta{}}
 	if sw.encode(first) != nil {
 		return
 	}

@@ -98,12 +98,17 @@ func TestServeHTTPAnalytics(t *testing.T) {
 	if len(body.Growth) != 1 || body.Growth[0].Added != 2 {
 		t.Fatalf("growth after ingest: %+v", body.Growth)
 	}
-	if body.ContentID == "" {
-		t.Fatal("no content_id stamp")
+	// content_id is the version's identity: the /deltas stamp of v1.
+	resp, err := http.Get(ts.URL + "/deltas?since=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := readRecords(t, resp); len(recs) != 1 || recs[0].FingerprintSHA != body.ContentID {
+		t.Fatalf("content_id %q, /deltas records %+v", body.ContentID, recs)
 	}
 	firstID := body.ContentID
 
-	// Second poll of the same version: cached bytes, same content key.
+	// Second poll of the same version: cached bytes, same content_id.
 	_, again, _ := getAnalytics(t, ts.URL+"/analytics")
 	if !again.ServedFromCache {
 		t.Fatal("second poll not served from cache")
@@ -112,7 +117,7 @@ func TestServeHTTPAnalytics(t *testing.T) {
 		t.Fatalf("content_id changed between polls of one version: %s vs %s", firstID, again.ContentID)
 	}
 
-	// A new version invalidates the cache and moves the key.
+	// A new version invalidates the cache and moves the identity.
 	if resp, b := postJSON(t, ts.URL+"/ingest", `{"docs":[{"id":"a3","text":"three"}]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/ingest a3: %d %s", resp.StatusCode, b)
 	}

@@ -62,7 +62,7 @@ func handleDeltas(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.
 			delta := store.Diff(store.New(), snap.KB())
 			return record(replica.Record{
 				Version:        snap.Version(),
-				FingerprintSHA: sess.FingerprintSHA(snap),
+				FingerprintSHA: snap.ContentID(),
 				Reset:          true,
 				Delta:          &delta,
 			}, sw)
@@ -70,7 +70,7 @@ func handleDeltas(s *Server, opt HandlerOptions, w http.ResponseWriter, r *http.
 		func(ev qkbfly.DeltaEvent, sw *streamWriter) error {
 			return record(replica.Record{
 				Version:        ev.Version,
-				FingerprintSHA: sess.FingerprintSHA(ev.Snap),
+				FingerprintSHA: ev.Snap.ContentID(),
 				Delta:          &ev.Delta,
 			}, sw)
 		})

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -88,7 +89,7 @@ func TestServeDeltasReplayVerifies(t *testing.T) {
 			t.Fatalf("chain diverged at v%d", rec.Version)
 		}
 	}
-	if got, want := replica.FingerprintSHA(kb), sess.FingerprintSHA(sess.Snapshot()); got != want {
+	if got, want := replica.FingerprintSHA(kb), sess.Snapshot().ContentID(); got != want {
 		t.Errorf("replayed head sha %.12s, want %.12s", got, want)
 	}
 }
@@ -100,7 +101,7 @@ func TestServeDeltasSnapshotAndHorizon(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		postJSON(t, ts.URL+"/ingest", fmt.Sprintf(`{"docs":[{"id":"s%d","text":"t%d"}]}`, i, i))
 	}
-	wantSHA := sess.FingerprintSHA(sess.Snapshot())
+	wantSHA := sess.Snapshot().ContentID()
 
 	check := func(url string) {
 		t.Helper()
@@ -172,8 +173,31 @@ func TestServeDeltasFollow(t *testing.T) {
 	if rec.Version != 3 || rec.Delta == nil || len(rec.Delta.Removed) == 0 {
 		t.Fatalf("eviction record: %+v", rec)
 	}
-	if got, want := rec.FingerprintSHA, sess.FingerprintSHA(sess.Snapshot()); got != want {
+	if got, want := rec.FingerprintSHA, sess.Snapshot().ContentID(); got != want {
 		t.Errorf("eviction stamp %.12s, want %.12s", got, want)
+	}
+}
+
+// TestServeDeltasFollowAttachAtCurrent: a follow=1 stream attached at
+// the current version has nothing to replay, and still answers with its
+// status and headers at once, not at the next publish.
+func TestServeDeltasFollowAttachAtCurrent(t *testing.T) {
+	ts, _ := newDeltaTestServer(t, qkbfly.SessionOptions{})
+	postJSON(t, ts.URL+"/ingest", `{"docs":[{"id":"f1","text":"one"}]}`)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/deltas?since=1&follow=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("no response headers without a publish: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-QKBfly-Version") != "1" {
+		t.Fatalf("status %d, X-QKBfly-Version %q; want 200 at version 1", resp.StatusCode, resp.Header.Get("X-QKBfly-Version"))
 	}
 }
 

@@ -188,7 +188,7 @@ func TestIdentityIngestRejectsControlCharacterIDs(t *testing.T) {
 		t.Fatalf("/ingest with a printable unicode id: %d %s", resp.StatusCode, msg)
 	}
 	snap := sess.Snapshot()
-	if qkbfly.FingerprintSHAHex(snap.Fingerprint()) != sess.FingerprintSHA(snap) {
+	if qkbfly.FingerprintSHAHex(snap.Fingerprint()) != snap.ContentID() {
 		t.Fatal("text and folded identities disagree for an accepted id")
 	}
 }

@@ -538,12 +538,19 @@ func hitAllocs(t *testing.T, h http.Handler, target string) float64 {
 	})
 }
 
-// maxHitAllocs bounds a cache hit's allocations. Encoding per row or per
-// fact through maps, structs or encoding/json would cost hundreds for the
-// answers below; the request itself (routing, URL and parameter parsing,
-// the pattern parse, the cache key, and for /kb the copy Search makes of
-// its matches) costs a few dozen.
+// maxHitAllocs bounds a /kb cache hit's allocations. Encoding per fact
+// through maps, structs or encoding/json would cost hundreds for the
+// listing below; the request itself (routing, URL and parameter parsing,
+// the query key) costs a few dozen, and the listing reads the cached
+// KB's matches in place (KB.Matches) without copying them.
 const maxHitAllocs = 60
+
+// maxQueryHitAllocs bounds a /query cache hit's allocations at the count
+// measured on it: 33, and 34 under the race detector. They are routing,
+// URL and parameter parsing, the pattern parse and its canonical form,
+// and the response; the cache key is the snapshot's identity and costs
+// none, and the rows are the entry's bytes.
+const maxQueryHitAllocs = 34
 
 // TestServeWireHitAllocations: a /query hit on a cached 200-row answer and a
 // /kb hit listing 100 facts allocate a small count, independent of the
@@ -558,8 +565,8 @@ func TestServeWireHitAllocations(t *testing.T) {
 	if !bytes.Contains(body, []byte(`"count":200,`)) {
 		t.Fatalf("fixture answer is not 200 rows: %.200s", body)
 	}
-	if n := hitAllocs(t, h, target); n > maxHitAllocs {
-		t.Errorf("/query hit on 200 rows: %.0f allocations, want <= %d", n, maxHitAllocs)
+	if n := hitAllocs(t, h, target); n > maxQueryHitAllocs {
+		t.Errorf("/query hit on 200 rows: %.0f allocations, want <= %d", n, maxQueryHitAllocs)
 	}
 	_, _, h = newWireServerOn(t, &wireBackend{plain: true}, 0)
 	kbTarget := "/kb?q=alloc&size=30"

@@ -109,10 +109,10 @@ func TestRunCacheSharedWithSessions(t *testing.T) {
 	}
 }
 
-// TestInvalidateShardsClearsRuns: invalidating a document also drops the
-// partial merges containing it, so a re-ingest under the same ID cannot
-// fold stale content out of the run cache.
-func TestInvalidateShardsClearsRuns(t *testing.T) {
+// TestInvalidateShardsKeepsRuns: invalidating a document drops its
+// cached leaves and nothing else — the run cache is keyed by segments,
+// so the runs over the old leaf are simply never found again.
+func TestInvalidateShardsKeepsRuns(t *testing.T) {
 	f := &fakeBackend{}
 	srv := serve.New(f, serve.Options{})
 	ctx := context.Background()
@@ -120,39 +120,62 @@ func TestInvalidateShardsClearsRuns(t *testing.T) {
 	if _, _, err := srv.KBForDocs(ctx, docsByID("a", "b")); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Stats().RunEntries == 0 {
+	runs := srv.Stats().RunEntries
+	if runs == 0 {
 		t.Fatal("no runs cached by the fold")
 	}
 	if removed := srv.InvalidateShards("a"); removed != 1 {
 		t.Fatalf("InvalidateShards removed %d, want 1", removed)
 	}
-	if got := srv.Stats().RunEntries; got != 0 {
-		t.Errorf("run cache holds %d entries after invalidation, want 0", got)
+	if got := srv.Stats().RunEntries; got != runs {
+		t.Errorf("run cache holds %d entries after invalidation, want the %d it held", got, runs)
 	}
 }
 
-// TestInvalidateShardsClearsRunsWithoutLeaf: the run cache must clear
-// even when the document's own leaf segment is no longer in the shard
-// cache (LRU/TTL-evicted after the run was cached) — a stale partial
-// merge under the document's unchanged identity would otherwise serve
-// replaced content.
-func TestInvalidateShardsClearsRunsWithoutLeaf(t *testing.T) {
-	f := &fakeBackend{}
-	// ShardCapacity 1: caching shard "b" evicts leaf "a", but the run
-	// (a+b) stays cached.
-	srv := serve.New(f, serve.Options{ShardCapacity: 1})
-	ctx := context.Background()
+// TestReplacedDocNeverFoldsStaleRun: a document replaced under its ID
+// folds to its new content through every path — with its old leaf still
+// cached when invalidated, or LRU-evicted before — while the runs over
+// the documents it left alone keep hitting, and the run cache is never
+// cleared.
+func TestReplacedDocNeverFoldsStaleRun(t *testing.T) {
+	for _, shardCap := range []int{0, 1} {
+		f := &fakeBackend{byText: true}
+		// ShardCapacity 1: caching each leaf evicts the one before, so
+		// the runs over "x" outlive its leaf.
+		srv := serve.New(f, serve.Options{ShardCapacity: shardCap})
+		ctx := context.Background()
+		c := srv.Counters()
+		doc := func(id, text string) *nlp.Document { return &nlp.Document{ID: id, Title: id, Text: text} }
+		fold := func(docs ...*nlp.Document) string {
+			t.Helper()
+			kb, _, err := srv.KBForDocs(ctx, docs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return kb.Fingerprint()
+		}
+		cold := func(docs ...*nlp.Document) string {
+			kb, _, err := serve.New(&fakeBackend{byText: true}, serve.Options{}).KBForDocs(ctx, docs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return kb.Fingerprint()
+		}
 
-	if _, _, err := srv.KBForDocs(ctx, docsByID("a", "b")); err != nil {
-		t.Fatal(err)
-	}
-	if srv.Stats().RunEntries == 0 {
-		t.Fatal("no runs cached by the fold")
-	}
-	if removed := srv.InvalidateShards("a"); removed != 0 {
-		t.Fatalf("leaf unexpectedly still cached (removed %d)", removed)
-	}
-	if got := srv.Stats().RunEntries; got != 0 {
-		t.Errorf("run cache holds %d stale entries after invalidating an evicted leaf, want 0", got)
+		a, b := doc("a", "alpha"), doc("b", "beta")
+		old := fold(a, b, doc("x", "old text"), doc("y", "why"))
+		runs := srv.Stats().RunEntries
+		srv.InvalidateShards("x")
+		if got := srv.Stats().RunEntries; got != runs {
+			t.Fatalf("cap %d: run cache holds %d entries after invalidation, want %d", shardCap, got, runs)
+		}
+		hits := c.Get(serve.CounterRunHits)
+		got := fold(a, b, doc("x", "new text"), doc("y", "why"))
+		if want := cold(a, b, doc("x", "new text"), doc("y", "why")); got != want || got == old {
+			t.Fatalf("cap %d: the replaced document folded through a stale run:\n%s", shardCap, got)
+		}
+		if shardCap == 0 && c.Get(serve.CounterRunHits) != hits+1 {
+			t.Errorf("cap %d: run_hits %d -> %d, want the untouched (a+b) run reused", shardCap, hits, c.Get(serve.CounterRunHits))
+		}
 	}
 }

@@ -13,14 +13,19 @@
 //     any earlier query, or by a session) skips the pipeline for them.
 //     Shards are cached as sealed, immutable store.Segments — the same
 //     representation session merge trees are made of;
-//   - a run cache: partial merges of adjacent segments are
-//     content-addressed and reused, so overlapping queries, sessions
-//     sliding over the same documents, and repeated KBForDocs calls
-//     share merge work, not just per-document pipeline work;
+//   - a run cache: partial merges of adjacent segments, keyed by the
+//     pair of immutable input segments and reused, so overlapping
+//     queries, sessions sliding over the same documents, and repeated
+//     KBForDocs calls share merge work, not just per-document pipeline
+//     work;
 //   - encoded answers: a cached pattern answer (pattern cache,
 //     serve_query.go) keeps its /query JSON rows, encoded once on first
 //     read, so a hit copies bytes instead of re-encoding rows
 //     (encode.go).
+//
+// The pattern cache keys on the snapshot's content identity
+// (store.Identity, O(1) per snapshot), the same value /deltas stamps and
+// the durable seal and the follower verify; no cache keys on labels.
 //
 // Because segment merging is order- and bracketing-deterministic, every
 // path — cold build, query-cache hit, singleflight join, segment
@@ -131,8 +136,8 @@ type Options struct {
 	// PatternCapacity is the maximum number of cached pattern-query
 	// results (QueryPattern); <= 0 means 256.
 	PatternCapacity int
-	// TTL expires cache entries (query and shard) this long after
-	// insertion; 0 means no time-based expiry.
+	// TTL expires entries of all four caches (query, shard, run and
+	// pattern) this long after insertion; 0 means no time-based expiry.
 	TTL time.Duration
 	// Clock supplies the time used for TTL bookkeeping; nil means
 	// time.Now. Tests inject a fake clock so eviction is exercised
@@ -169,12 +174,12 @@ type Server struct {
 	opt      Options
 	counters *stats.CounterSet
 
-	queries  *cache[*queryEntry]    // by query key
-	shards   *cache[*store.Segment] // sealed shards, by doc key
-	runs     *cache[*store.Segment] // partial merges, by combined segment id
-	patterns *cache[*patternEntry]  // by cid+pattern key (see serve_query.go)
-	flight   *flightGroup[*Result]
-	pflight  *flightGroup[*patternEntry]
+	queries  *cache[string, *queryEntry]               // by query key
+	shards   *cache[string, *store.Segment]            // sealed shards, by doc key
+	runs     *cache[[2]*store.Segment, *store.Segment] // partial merges, by input pair
+	patterns *cache[patternKey, *patternEntry]         // by identity + pattern (serve_query.go)
+	flight   *flightGroup[string, *Result]
+	pflight  *flightGroup[patternKey, *patternEntry]
 
 	// persistStats, when set (SetPersistStats), supplies the durable
 	// segment store's counters for /stats — blob writeback, fault-ins,
@@ -205,14 +210,14 @@ func New(backend Backend, opt Options) *Server {
 		backend:  backend,
 		opt:      opt,
 		counters: counters,
-		queries:  newCache[*queryEntry](opt.Capacity, opt, counters, CounterQueryEvictions, CounterQueryTTLEvictions),
-		shards:   newCache[*store.Segment](opt.ShardCapacity, opt, counters, CounterShardEvictions, CounterShardTTLEvictions),
+		queries:  newCache[string, *queryEntry](opt.Capacity, opt, counters, CounterQueryEvictions, CounterQueryTTLEvictions),
+		shards:   newCache[string, *store.Segment](opt.ShardCapacity, opt, counters, CounterShardEvictions, CounterShardTTLEvictions),
 		// No eviction counters for runs and patterns: both rebuild cheaply
 		// from live segments and expire under the same TTL.
-		runs:     newCache[*store.Segment](opt.RunCapacity, opt, counters, "", ""),
-		patterns: newCache[*patternEntry](opt.PatternCapacity, opt, counters, "", ""),
-		flight:   newFlightGroup[*Result](),
-		pflight:  newFlightGroup[*patternEntry](),
+		runs:     newCache[[2]*store.Segment, *store.Segment](opt.RunCapacity, opt, counters, "", ""),
+		patterns: newCache[patternKey, *patternEntry](opt.PatternCapacity, opt, counters, "", ""),
+		flight:   newFlightGroup[string, *Result](),
+		pflight:  newFlightGroup[patternKey, *patternEntry](),
 	}
 }
 
@@ -388,14 +393,14 @@ func (s *Server) foldSegments(segs []*store.Segment) *store.Segment {
 }
 
 // MergeSegments is the caching segment merge (qkbfly.SegmentMerger):
-// partial merges are content-addressed by their combined segment
-// identity and reused across sessions and queries. Uncacheable inputs
-// (anonymous documents) merge without touching the cache.
+// partial merges are keyed by their two input segments and reused
+// across sessions and queries. The key is exact: segments are immutable
+// and merging is deterministic, so equal inputs give equal merges, and
+// the cached key holds both inputs, so their addresses are never reused
+// while the entry lives. A replaced document is a new segment, so no
+// run over its old content can be found under its new one.
 func (s *Server) MergeSegments(a, b *store.Segment) *store.Segment {
-	key := store.CombinedSegmentID(a, b)
-	if key == "" {
-		return store.MergeSegments(a, b)
-	}
+	key := [2]*store.Segment{a, b}
 	if run, ok := s.runs.get(key); ok {
 		s.counters.Add(CounterRunHits, 1)
 		return run
@@ -463,21 +468,13 @@ func (s *Server) OpenSession(opts qkbfly.SessionOptions) *qkbfly.Session {
 // InvalidateShards drops every cached segment of the given document IDs
 // (across all build-option variants) and returns how many entries were
 // removed — the cache-coherence hook for replacing a document's content
-// under a reused ID. Partial merges are content-addressed by their leaf
-// identities, and a deep run's identity may be hashed, so the run cache
-// cannot be invalidated per document: any removal clears it wholesale
-// (it re-warms on the next folds).
+// under a reused ID. The run cache is left alone: its keys are segments,
+// and the replaced document's rebuilt segment matches none of them.
 func (s *Server) InvalidateShards(docIDs ...string) int {
 	removed := 0
 	for _, id := range docIDs {
-		removed += len(s.shards.takePrefix(id + "\x00"))
-	}
-	// The run cache clears even when no leaf was found: the leaf may have
-	// been LRU- or TTL-evicted after a run containing it was cached, and
-	// a stale run under the document's unchanged identity would otherwise
-	// serve the replaced content.
-	if len(docIDs) > 0 {
-		s.runs.clear()
+		prefix := id + "\x00"
+		removed += len(s.shards.take(func(k string) bool { return strings.HasPrefix(k, prefix) }))
 	}
 	return removed
 }
@@ -536,9 +533,8 @@ func (s *Server) assembleSegments(ctx context.Context, docs []*nlp.Document, opt
 			if mbs != nil && j < len(mbs.PerDocElapsed) {
 				times[i] = mbs.PerDocElapsed[j]
 			}
-			// Anonymous documents seal with an empty identity: their
-			// segment is usable (and mergeable) but never cached, and
-			// never poisons a run-cache key.
+			// Anonymous documents seal without a label: their segment is
+			// usable (and mergeable) but never cached by document.
 			id := ""
 			if docs[i].ID != "" {
 				id = shardKey(docs[i].ID, okey)

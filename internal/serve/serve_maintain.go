@@ -54,13 +54,13 @@ const (
 func (s *Server) MaintainPatterns(ctx context.Context, sess *qkbfly.Session) (stop func()) {
 	ctx, cancel := context.WithCancel(ctx)
 	feed := sess.Feed(ctx, qkbfly.FeedStart{Snapshot: true, Tail: true, Drops: qkbfly.CounterDeltaWatchDrops})
-	prev := feed.Reset.ContentID()
+	prev := feed.Reset.Identity()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for ev := range feed.Tail {
-			s.RollPatternCache(prev, ev.Snap, ev.Delta)
-			prev = ev.Snap.ContentID()
+			s.rollPatternCache(prev, ev.Snap, ev.Delta)
+			prev = ev.Snap.Identity()
 		}
 	}()
 	return func() {
@@ -70,24 +70,31 @@ func (s *Server) MaintainPatterns(ctx context.Context, sess *qkbfly.Session) (st
 }
 
 // RollPatternCache advances every cached pattern answer from the
-// version identified by oldCID to snap, whose content differs from its
-// predecessor by d. Entries that roll within budget are re-inserted
-// under the new content identity (counted as pattern_maintained);
-// entries past budget, or with a row limit, are dropped and recompute
-// on their next miss (pattern_maintain_fallbacks). Exported so the
-// bench harness can drive maintenance synchronously; the serving path
-// uses it only through MaintainPatterns.
+// version whose Snapshot.ContentID is oldCID to snap, whose content
+// differs from its predecessor by d. Entries that roll within budget
+// are re-inserted under the new content identity (counted as
+// pattern_maintained); entries past budget, or with a row limit, are
+// dropped and recompute on their next miss (pattern_maintain_fallbacks).
+// Exported so the bench harness can drive maintenance synchronously;
+// the serving path uses it only through MaintainPatterns. An oldCID
+// that is not a ContentID names no cached version and rolls nothing.
 func (s *Server) RollPatternCache(oldCID string, snap *qkbfly.Snapshot, d store.Delta) {
-	if oldCID == "" || snap == nil {
-		return
+	if old, err := store.ParseIdentity(oldCID); err == nil {
+		s.rollPatternCache(old, snap, d)
 	}
-	newCID := snap.ContentID()
-	if newCID == "" || newCID == oldCID {
+}
+
+// rollPatternCache is RollPatternCache from the old version's identity.
+// A version that leaves the identity unchanged leaves every entry valid
+// where it is.
+func (s *Server) rollPatternCache(old store.Identity, snap *qkbfly.Snapshot, d store.Delta) {
+	cur := snap.Identity()
+	if cur == old {
 		return
 	}
 	// Entries leave the cache either way: maintained ones re-enter under
 	// the new identity, the rest recompute on miss.
-	entries := s.patterns.takePrefix(oldCID + "\x00")
+	entries := s.patterns.take(func(k patternKey) bool { return k.id == old })
 	if len(entries) == 0 {
 		return
 	}
@@ -113,7 +120,7 @@ func (s *Server) RollPatternCache(oldCID string, snap *qkbfly.Snapshot, d store.
 			s.counters.Add(CounterPatternMaintainFallbacks, 1)
 			continue
 		}
-		s.patterns.put(patternKey(newCID, e.canon), &patternEntry{pat: e.pat, canon: e.canon, rows: rows})
+		s.patterns.put(patternKey{cur, e.canon}, &patternEntry{pat: e.pat, canon: e.canon, rows: rows})
 		s.counters.Add(CounterPatternMaintained, 1)
 	}
 }

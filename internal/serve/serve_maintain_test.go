@@ -10,7 +10,9 @@ import (
 	"qkbfly"
 	"qkbfly/internal/nlp"
 	"qkbfly/internal/query"
+	"qkbfly/internal/sched"
 	"qkbfly/internal/serve"
+	"qkbfly/internal/stats"
 )
 
 // fakeDocs builds n fake-pipeline documents with sequential IDs.
@@ -230,4 +232,111 @@ func TestPatternMaintainBackgroundLoop(t *testing.T) {
 		t.Fatalf("background-maintained query: rows=%d cached=%v err=%v, want 4 warm rows", len(rows), cached, err)
 	}
 	stop() // idempotent with the deferred call; must not hang
+}
+
+// TestPatternCacheReplacedDocIsFresh: with no maintenance loop rolling
+// the cache, a document evicted and re-ingested under its ID with new
+// text must not bring back the answer cached for its old text — the
+// content, and so the key, differs, although the documents' IDs are the
+// same as when the answer was cached.
+func TestPatternCacheReplacedDocIsFresh(t *testing.T) {
+	srv := serve.New(&fakeBackend{byText: true}, serve.Options{})
+	sess := srv.OpenSession(qkbfly.SessionOptions{})
+	defer sess.Close()
+	ctx := context.Background()
+	p := mustPattern(t, `?d mentions ?c`)
+	doc := func(id, text string) *nlp.Document { return &nlp.Document{ID: id, Title: id, Text: text} }
+
+	snap1, _, err := sess.Ingest(ctx, []*nlp.Document{doc("a", "alpha"), doc("x", "old text")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, cached, err := srv.QueryPattern(ctx, snap1, p); err != nil || cached {
+		t.Fatalf("prime query: cached=%v err=%v", cached, err)
+	}
+	sess.Evict("x")
+	srv.InvalidateShards("x")
+	snap3, _, err := sess.Ingest(ctx, []*nlp.Document{doc("x", "new text")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, cached, err := srv.QueryPattern(ctx, snap3, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := snap3.Query(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sortedRowKeys(rows), sortedRowKeys(fresh.Collect()); !sameKeys(got, want) {
+		t.Fatalf("answer after replacing x (cached=%v): %v, want %v", cached, got, want)
+	}
+}
+
+// TestPatternCacheHitsAfterAdoptedCompaction: an adopted background
+// compaction swaps the current snapshot for one over a different run
+// layout but the same content, so a query on it hits the entry
+// maintenance rolled to that version. Forty-byte document IDs make the
+// layout visible to any key built from run labels.
+func TestPatternCacheHitsAfterAdoptedCompaction(t *testing.T) {
+	srv := serve.New(&fakeBackend{}, serve.Options{})
+	counters := stats.NewCounterSet()
+	sess := srv.OpenSession(qkbfly.SessionOptions{DeferCompaction: true, Counters: counters})
+	defer sess.Close()
+	sc := sched.New(sched.Options{Workers: 1, Counters: counters})
+	defer sc.Close()
+	maint := qkbfly.NewMaintainer(sess, sc, qkbfly.MaintainerOptions{Counters: counters})
+	defer maint.Close()
+	ctx := context.Background()
+	c := srv.Counters()
+	p := mustPattern(t, `?d mentions ?c`)
+	docs := func(lo, n int) []*nlp.Document {
+		out := make([]*nlp.Document, n)
+		for i := range out {
+			id := fmt.Sprintf("%040d", lo+i)
+			out[i] = &nlp.Document{ID: id, Title: id}
+		}
+		return out
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	for i := 0; i < 8; i++ {
+		if _, _, err := sess.Ingest(ctx, docs(i, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc.Drain()
+	stop := srv.MaintainPatterns(ctx, sess)
+	defer stop()
+	if _, _, err := srv.QueryPattern(ctx, sess.Snapshot(), p); err != nil {
+		t.Fatal(err)
+	}
+
+	// Four loose leaves at once: the version schedules a compaction.
+	adopted := counters.Get(qkbfly.CounterMaintCompactions)
+	snap, _, err := sess.Ingest(ctx, docs(8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the roll", func() bool { return c.Get(serve.CounterPatternMaintained) == 1 })
+	waitFor("the adoption", func() bool { return counters.Get(qkbfly.CounterMaintCompactions) > adopted })
+	cur := sess.Snapshot()
+	if cur == snap || cur.Version() != snap.Version() || cur.Tree().RunCount() >= snap.Tree().RunCount() {
+		t.Fatalf("no compacted handle at v%d (runs %d -> %d)", snap.Version(), snap.Tree().RunCount(), cur.Tree().RunCount())
+	}
+	misses := c.Get(serve.CounterPatternMisses)
+	rows, cached, err := srv.QueryPattern(ctx, cur, p)
+	if err != nil || !cached || len(rows) != 12 {
+		t.Fatalf("query after adoption: rows=%d cached=%v err=%v, want a hit on 12 rows", len(rows), cached, err)
+	}
+	if got := c.Get(serve.CounterPatternMisses); got != misses {
+		t.Fatalf("pattern_misses %d -> %d after adoption", misses, got)
+	}
 }

@@ -6,21 +6,23 @@ import (
 	"sync"
 
 	"qkbfly"
+	"qkbfly/internal/kb/store"
 	"qkbfly/internal/query"
 )
 
 // Pattern-query serving: because session snapshots are immutable and
-// carry a structural content identity (qkbfly.Snapshot.ContentID), a
-// pattern's full answer set is a pure function of (normalized pattern,
-// content identity). QueryPattern fronts the streaming engine with an
+// carry their content identity (qkbfly.Snapshot.Identity), a pattern's
+// answer set is a pure function of (normalized pattern, content
+// identity). QueryPattern fronts the streaming engine with an
 // LRU result cache on that key plus a singleflight group, so repeated
 // standing dashboards and polling readers cost one evaluation per
 // version — and evaluating is itself cheap (prefix scans over the
 // snapshot's merge tree, no materialization). Entries are additionally
 // delta-maintained across versions (serve_maintain.go): cached answers
 // roll forward through each published delta instead of being lost to
-// the ContentID change, so under write traffic a standing query still
-// hits warm.
+// the identity change, so under write traffic a standing query still
+// hits warm. A version that leaves the content unchanged (an adopted
+// compaction) leaves the identity, and so every entry, in place.
 
 // patternEntry is one cached pattern answer: the rows plus the pattern
 // they answer, kept so maintenance can re-evaluate without re-parsing,
@@ -43,10 +45,13 @@ func (e *patternEntry) encoded() []byte {
 	return e.enc
 }
 
-// patternKey keys the result cache: content identity first, so one
-// version's entries form a key-prefix group that maintenance (and
-// nothing else) collects with takePrefix.
-func patternKey(cid, canonical string) string { return cid + "\x00" + canonical }
+// patternKey keys the result cache: the content identity, which
+// maintenance (and nothing else) collects one version's entries by, and
+// the pattern's canonical form.
+type patternKey struct {
+	id    store.Identity
+	canon string
+}
 
 // QueryPattern evaluates p against the snapshot, serving from the
 // pattern result cache when the same normalized pattern was already
@@ -56,9 +61,6 @@ func patternKey(cid, canonical string) string { return cid + "\x00" + canonical 
 // callers and must be treated read-only; a freshly evaluated answer is
 // in the engine's deterministic order, a maintained one is row-set
 // identical to recomputation but may order rows differently.
-//
-// Snapshots without a content identity (anonymous segments — e.g. a
-// session over a bare System) evaluate uncached.
 func (s *Server) QueryPattern(ctx context.Context, snap *qkbfly.Snapshot, p *query.Pattern) ([]query.Row, bool, error) {
 	e, cached, err := s.queryPattern(ctx, snap, p)
 	if e == nil {
@@ -68,22 +70,13 @@ func (s *Server) QueryPattern(ctx context.Context, snap *qkbfly.Snapshot, p *que
 }
 
 // queryPattern is QueryPattern returning the answer's entry, so /query
-// can write its encoded rows. An uncached answer comes in an entry of
-// its own that no cache holds.
+// can write its encoded rows.
 func (s *Server) queryPattern(ctx context.Context, snap *qkbfly.Snapshot, p *query.Pattern) (*patternEntry, bool, error) {
 	if err := p.Validate(); err != nil {
 		return nil, false, err
 	}
-	cid := snap.ContentID()
-	if cid == "" {
-		rows, err := snap.Query(p)
-		if err != nil {
-			return nil, false, err
-		}
-		return &patternEntry{pat: p, rows: rows.Collect()}, false, nil
-	}
 	canon := p.Canonical()
-	key := patternKey(cid, canon)
+	key := patternKey{snap.Identity(), canon}
 	if e, ok := s.patterns.get(key); ok {
 		s.counters.Add(CounterPatternHits, 1)
 		return e, true, nil

@@ -35,6 +35,7 @@ type fakeBackend struct {
 	release   chan struct{}       // when non-nil, builds block until closed (or ctx done)
 	cancelled chan struct{}       // when non-nil, receives one signal per cancelled build
 	buildTime time.Duration       // fake per-doc pipeline time reported in stats
+	byText    bool                // shard content from the document text (textShard), not its ID
 }
 
 func (f *fakeBackend) Retrieve(query, source string, size int) []*nlp.Document {
@@ -62,7 +63,7 @@ func (f *fakeBackend) BuildShardsContext(ctx context.Context, docs []*nlp.Docume
 	}
 	f.built = append(f.built, ids)
 	started, release := f.started, f.release
-	per := f.buildTime
+	per, byText := f.buildTime, f.byText
 	f.mu.Unlock()
 	if per == 0 {
 		per = time.Millisecond
@@ -96,6 +97,9 @@ func (f *fakeBackend) BuildShardsContext(ctx context.Context, docs []*nlp.Docume
 	perDoc := make([]time.Duration, len(docs))
 	for i, d := range docs {
 		shards[i] = shardFor(d.ID)
+		if byText {
+			shards[i] = textShard(d.ID, d.Text)
+		}
 		perDoc[i] = per
 	}
 	bs := &qkbfly.BuildStats{
@@ -108,14 +112,19 @@ func (f *fakeBackend) BuildShardsContext(ctx context.Context, docs []*nlp.Docume
 
 // shardFor builds the deterministic per-document shard of the fake
 // pipeline: one entity and one fact derived from the document ID.
-func shardFor(id string) *store.KB {
+func shardFor(id string) *store.KB { return textShard(id, "content of "+id) }
+
+// textShard is the fake pipeline's shard of a document by its text: the
+// fact's object is the text, so replacing a document's text under its
+// ID replaces its content.
+func textShard(id, text string) *store.KB {
 	kb := store.New()
 	kb.AddEntity(store.EntityRecord{ID: "E_" + id, Name: id, Mentions: []string{id}, Types: []string{"DOC"}})
 	kb.AddFact(store.Fact{
 		Subject:    store.Value{EntityID: "E_" + id},
 		Relation:   "mentions",
 		Pattern:    "mentions",
-		Objects:    []store.Value{{Literal: "content of " + id}},
+		Objects:    []store.Value{{Literal: text}},
 		Confidence: 1,
 		Source:     store.Provenance{DocID: id},
 	})

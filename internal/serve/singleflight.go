@@ -32,20 +32,20 @@ type flightCall[T any] struct {
 // leader is still running wait and share its result, so N simultaneous
 // identical requests cost one execution. The result type is fixed per
 // group (the Server keeps one group per cache it fronts).
-type flightGroup[T any] struct {
+type flightGroup[K comparable, T any] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall[T]
+	calls map[K]*flightCall[T]
 }
 
-func newFlightGroup[T any]() *flightGroup[T] {
-	return &flightGroup[T]{calls: make(map[string]*flightCall[T])}
+func newFlightGroup[K comparable, T any]() *flightGroup[K, T] {
+	return &flightGroup[K, T]{calls: make(map[K]*flightCall[T])}
 }
 
 // do executes fn once per key among concurrent callers. joined reports
 // whether this caller waited on another caller's execution. A joiner
 // whose own context is cancelled stops waiting and returns ctx.Err()
 // without affecting the leader.
-func (g *flightGroup[T]) do(ctx context.Context, key string, fn func() *flightResult[T]) (res *flightResult[T], joined bool, err error) {
+func (g *flightGroup[K, T]) do(ctx context.Context, key K, fn func() *flightResult[T]) (res *flightResult[T], joined bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()

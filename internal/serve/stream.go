@@ -28,13 +28,17 @@ type streamWriter struct {
 
 // startStream begins an NDJSON response whose leading records are
 // complete up to version cur (stamped in X-QKBfly-Version, the version
-// a client resumes from). Transports that cannot set write deadlines
-// (test recorders) degrade to plain flushed writes.
+// a client resumes from). The status line and headers are flushed at
+// once, so a client attached at the current version sees the response
+// begin before the next version publishes. Transports that cannot set
+// write deadlines (test recorders) degrade to plain flushed writes.
 func startStream(w http.ResponseWriter, cur uint64) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-QKBfly-Version", strconv.FormatUint(cur, 10))
 	w.WriteHeader(http.StatusOK)
-	return &streamWriter{rc: http.NewResponseController(w), w: w}
+	sw := &streamWriter{rc: http.NewResponseController(w), w: w}
+	_ = sw.rc.Flush() // a failed flush shows again at the first write
+	return sw
 }
 
 // encode writes v as one JSON record line and flushes it to the peer.

@@ -415,11 +415,8 @@ func (s *Session) sessionKey(d *nlp.Document) string {
 // returns one sealed segment per document (nil where the build was
 // cancelled first). Outside the session lock.
 //
-// Fallback-sealed segments carry no cache identity: a correct identity
-// must encode both immutable content (anonymous documents have none)
-// and the build options, which only a SegmentBuilder like *serve.Server
-// knows how to key. An empty identity keeps a caching SegmentMerger
-// from ever content-addressing runs by ambiguous session keys.
+// Fallback-sealed segments carry no label; nothing keys on labels, so
+// such a session's snapshots are cacheable like any other.
 func (s *Session) buildSegments(ctx context.Context, docs []*nlp.Document) ([]*store.Segment, *BuildStats, error) {
 	if s.segBuilder != nil {
 		return s.segBuilder.BuildSegmentsContext(ctx, docs, s.opt.BuildOptions...)
@@ -429,7 +426,7 @@ func (s *Session) buildSegments(ctx context.Context, docs []*nlp.Document) ([]*s
 	if bs != nil {
 		times = bs.PerDocElapsed
 	}
-	return engine.SealShards(shards, nil, times), bs, err
+	return engine.SealShards(shards, times), bs, err
 }
 
 // Ingest feeds documents into the session: only documents not already

@@ -2,10 +2,10 @@ package qkbfly
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"qkbfly/internal/analytics"
+	"qkbfly/internal/kb/store"
 	"qkbfly/internal/stats"
 )
 
@@ -49,10 +49,10 @@ type AnalyticsTracker struct {
 
 	subs *fanout[analytics.VersionDelta] // re-broadcast of every folded version
 
-	mu        sync.Mutex
-	st        *analytics.State
-	summary   *analytics.Summary // cached; invalidated on every fold
-	contentID string             // snapshot ContentID at st's version
+	mu      sync.Mutex
+	st      *analytics.State
+	summary *analytics.Summary // cached; invalidated on every fold
+	id      store.Identity     // snapshot identity at st's version
 }
 
 // NewAnalyticsTracker starts incremental analytics over a session. The
@@ -69,7 +69,7 @@ func NewAnalyticsTracker(s *Session, opt AnalyticsOptions) *AnalyticsTracker {
 	}
 	f := t.feed(ctx)
 	t.st = analytics.FromKB(f.Reset.KB(), f.Cur, 0)
-	t.contentID = cacheKeyOf(f.Reset)
+	t.id = f.Reset.Identity()
 	go t.run(ctx, f.Tail)
 	return t
 }
@@ -78,17 +78,6 @@ func NewAnalyticsTracker(s *Session, opt AnalyticsOptions) *AnalyticsTracker {
 // to (re)seed from, then every later version.
 func (t *AnalyticsTracker) feed(ctx context.Context) Feed {
 	return t.s.Feed(ctx, FeedStart{Snapshot: true, Tail: true, Drops: CounterDeltaWatchDrops})
-}
-
-// cacheKeyOf derives the analytics cache key for one snapshot: its
-// ContentID when the tree's segments carry cache identities (a
-// server-backed session), else a version-scoped fallback — unique within
-// this session's lifetime, which is all an in-process cache needs.
-func cacheKeyOf(snap *Snapshot) string {
-	if id := snap.ContentID(); id != "" {
-		return id
-	}
-	return fmt.Sprintf("\x00v%d", snap.Version())
 }
 
 func (t *AnalyticsTracker) count(name string, d int64) {
@@ -127,7 +116,7 @@ func (t *AnalyticsTracker) fold(ev *DeltaEvent) {
 		vd, err := t.st.Apply(ev.Version, &ev.Delta)
 		if err == nil {
 			t.summary = nil
-			t.contentID = cacheKeyOf(ev.Snap)
+			t.id = ev.Snap.Identity()
 			// Re-broadcast under t.mu, so a subscriber that attached before
 			// reading Summary sees every version the summary lacks.
 			t.subs.send(vd)
@@ -146,12 +135,11 @@ func (t *AnalyticsTracker) fold(ev *DeltaEvent) {
 // The recompute runs off the tracker lock (it materializes the KB).
 func (t *AnalyticsTracker) resync(snap *Snapshot) {
 	st := analytics.FromKB(snap.KB(), snap.Version(), 0)
-	id := cacheKeyOf(snap)
 	t.mu.Lock()
 	if snap.Version() >= t.st.Version() {
 		t.st = st
 		t.summary = nil
-		t.contentID = id
+		t.id = snap.Identity()
 	}
 	t.mu.Unlock()
 }
@@ -164,18 +152,18 @@ func (t *AnalyticsTracker) Version() uint64 {
 }
 
 // Summary returns the aggregate view of the tracker's current version,
-// the snapshot ContentID it corresponds to, and whether the summary was
-// served from the per-version cache (false means this call computed and
-// cached it). The ContentID keys HTTP caching: two requests seeing the
-// same ID received byte-identical analytics.
-func (t *AnalyticsTracker) Summary() (sum *analytics.Summary, contentID string, cached bool) {
+// the content identity of the snapshot it corresponds to, and whether
+// the summary was served from the per-version cache (false means this
+// call computed and cached it). Equal identities mean equal content, so
+// equal aggregates; the version and growth records may still differ.
+func (t *AnalyticsTracker) Summary() (sum *analytics.Summary, id store.Identity, cached bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.summary != nil {
-		return t.summary, t.contentID, true
+		return t.summary, t.id, true
 	}
 	t.summary = t.st.Summary()
-	return t.summary, t.contentID, false
+	return t.summary, t.id, false
 }
 
 // Growth returns the retained per-version analytic deltas, oldest first.

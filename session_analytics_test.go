@@ -123,12 +123,12 @@ func TestSessionAnalyticsFoldMatchesRecompute(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	sum, contentID, _ := tracker.Summary()
+	sum, id, _ := tracker.Summary()
 	if got, want := analyticsJSON(t, sum), analyticsJSON(t, analytics.Compute(sess.Snapshot().KB(), finalV)); got != want {
 		t.Fatalf("tracker summary diverges from recompute:\n got %s\nwant %s", got, want)
 	}
-	if contentID == "" {
-		t.Error("tracker summary carries no snapshot ContentID")
+	if want := sess.Snapshot().Identity(); id != want {
+		t.Errorf("tracker summary identity %s, want the snapshot's %s", id.Hex(), want.Hex())
 	}
 	if _, _, cached := tracker.Summary(); !cached {
 		t.Error("second Summary call missed the per-version cache")

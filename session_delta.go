@@ -55,13 +55,6 @@ func (s *Session) DeltaRecordsSince(v uint64) (recs []DeltaRecord, cur uint64, o
 	return recs, cur, ok
 }
 
-// FingerprintSHA returns the hex content identity of the snapshot's KB
-// (Snapshot.Identity) — the stamp /deltas puts on its version. It
-// accepts any snapshot of this session, current or replayed.
-func (s *Session) FingerprintSHA(snap *Snapshot) string {
-	return snap.content.id.Hex()
-}
-
 // FingerprintSHAHex returns the hex content identity of a KB from its
 // already-computed fingerprint text (store.TextIdentity) — the value the
 // session stamps that KB's version with, and the one qkbflyd seals a

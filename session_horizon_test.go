@@ -182,7 +182,7 @@ func TestSessionHorizonResetRebase(t *testing.T) {
 	snap := sess.Snapshot()
 	reset := store.Diff(store.New(), snap.KB())
 	rebased := reset.Apply(store.New())
-	if got, want := qkbfly.FingerprintSHAHex(rebased.Fingerprint()), sess.FingerprintSHA(snap); got != want {
+	if got, want := qkbfly.FingerprintSHAHex(rebased.Fingerprint()), snap.ContentID(); got != want {
 		t.Fatalf("reset re-base sha %.12s, want %.12s", got, want)
 	}
 	// After the re-base, resuming by delta from the snapshot version works.

@@ -63,7 +63,7 @@ func checkIdentity(t *testing.T, label string, sess *qkbfly.Session, snap *qkbfl
 	t.Helper()
 	kb := snap.KB()
 	want := replica.FingerprintSHA(kb)
-	if got := sess.FingerprintSHA(snap); got != want {
+	if got := snap.ContentID(); got != want {
 		t.Fatalf("%s v%d: folded identity %.16s…, KB identity %.16s…", label, snap.Version(), got, want)
 	}
 	if got := qkbfly.FingerprintSHAHex(snap.Fingerprint()); got != want {

@@ -24,12 +24,11 @@ func (s *Snapshot) Query(p *query.Pattern) (*query.Rows, error) {
 	return query.Run(s.tree, p)
 }
 
-// ContentID returns a compact structural identity for the snapshot's
-// content (store.Tree.ContentID): equal IDs guarantee byte-identical
-// KBs, without the materialization that Fingerprint costs. It returns
-// "" when the content is not identifiable (some segment carries no
-// cache identity) — callers must then treat the snapshot as uncacheable.
-func (s *Snapshot) ContentID() string { return s.tree.ContentID() }
+// ContentID returns the snapshot's content identity as hex,
+// Identity().Hex(): the /deltas fingerprint_sha256 stamp of this
+// version, and the key /analytics and the pattern cache answer under.
+// It costs O(1) and never materializes the KB.
+func (s *Snapshot) ContentID() string { return s.content.id.Hex() }
 
 // Tree exposes the snapshot's immutable merge tree for callers composing
 // their own scans or incremental evaluation (query.EvalDelta against

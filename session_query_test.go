@@ -125,9 +125,11 @@ func TestSessionQueryMatchesSnapshotScan(t *testing.T) {
 	}
 }
 
-// TestSnapshotContentID: sessions over identity-sealing builders expose
-// equal content IDs for equal content regardless of ingest chunking;
-// anonymous fallback sealing yields the uncacheable empty ID.
+// TestSnapshotContentID: a snapshot's ContentID is its identity's hex
+// (the /deltas stamp of its version): equal for equal content whatever
+// the ingest chunking or builder, different after an eviction — and a
+// session over a bare System, whose segments carry no label, has one
+// like any other.
 func TestSnapshotContentID(t *testing.T) {
 	f := getFixture(t)
 	sys := qkbfly.New(f.res, qkbfly.DefaultConfig())
@@ -140,6 +142,7 @@ func TestSnapshotContentID(t *testing.T) {
 	if _, _, err := s1.Ingest(ctx, d1[:2]); err != nil {
 		t.Fatal(err)
 	}
+	id2docs := s1.Snapshot().ContentID()
 	if _, _, err := s1.Ingest(ctx, d1[2:]); err != nil {
 		t.Fatal(err)
 	}
@@ -148,26 +151,31 @@ func TestSnapshotContentID(t *testing.T) {
 	if _, _, err := s2.Ingest(ctx, docsA()); err != nil { // one slide, same docs
 		t.Fatal(err)
 	}
-	id1, id2 := s1.Snapshot().ContentID(), s2.Snapshot().ContentID()
-	if id1 == "" || id1 != id2 {
+	snap1 := s1.Snapshot()
+	id1, id2 := snap1.ContentID(), s2.Snapshot().ContentID()
+	if id1 != id2 {
 		t.Fatalf("content IDs differ for identical content: %q vs %q", id1, id2)
 	}
-	if s1.Snapshot().Fingerprint() != s2.Snapshot().Fingerprint() {
-		t.Fatal("equal ContentID but different fingerprints")
+	if id1 != snap1.Identity().Hex() || id1 != qkbfly.FingerprintSHAHex(snap1.Fingerprint()) {
+		t.Fatalf("ContentID %q is not the snapshot's identity", id1)
+	}
+	recs, _, _ := s1.DeltaRecordsSince(snap1.Version() - 1)
+	if len(recs) != 1 || recs[0].FingerprintSHA != id1 {
+		t.Fatalf("ContentID %q differs from the version's /deltas stamp %+v", id1, recs)
 	}
 	s2.Evict(d1[0].ID)
-	if got := s2.Snapshot().ContentID(); got == "" || got == id1 {
+	if got := s2.Snapshot().ContentID(); got == id1 {
 		t.Fatalf("eviction did not change the content ID: %q", got)
 	}
 
-	// A bare System seals anonymously: snapshots are uncacheable.
+	// A bare System seals without labels; the identity does not care.
 	s3 := sys.OpenSession(qkbfly.SessionOptions{})
 	defer s3.Close()
 	if _, _, err := s3.Ingest(ctx, docsA()[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if got := s3.Snapshot().ContentID(); got != "" {
-		t.Fatalf("anonymous session content ID = %q, want \"\"", got)
+	if got := s3.Snapshot().ContentID(); got != id2docs {
+		t.Fatalf("bare-System session content ID = %q, want %q", got, id2docs)
 	}
 }
 
