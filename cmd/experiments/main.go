@@ -107,7 +107,7 @@ func main() {
 		fmt.Println(experiments.RunAblation(env, *docs/2, *sample))
 	}
 	if want["sweep"] {
-		// The sweep runs over a PINNED snapshot through the maintenance
+		// The sweep runs over a PINNED snapshot through the background
 		// scheduler: every tau point reads the same immutable version,
 		// regardless of what the live session ingests meanwhile.
 		sys := env.System(qkbfly.Joint, qkbfly.Greedy)

@@ -58,7 +58,6 @@ import (
 	"qkbfly/internal/nlp/depparse"
 	"qkbfly/internal/qa"
 	"qkbfly/internal/replica"
-	"qkbfly/internal/sched"
 	"qkbfly/internal/search"
 	"qkbfly/internal/serve"
 	"qkbfly/internal/stats"
@@ -83,7 +82,6 @@ func main() {
 		memBudget     = flag.Int64("mem-budget", 0, "resident segment-payload byte budget with -data-dir; cold segments demote to disk (0 = keep everything resident)")
 		follow        = flag.String("follow", "", "leader base URL (e.g. http://leader:8080): run as a read-only replication follower")
 		retryBudget   = flag.Int("retry-budget", 10, "with -follow, consecutive failed leader connects before /healthz reports degraded (0 = never)")
-		maintenance   = flag.Bool("maintenance", true, "run the background maintenance scheduler: ingest defers tail compaction off the publish path, a snapshot-isolated worker compacts (identity-verified), and /analytics folds incrementally from the delta stream")
 	)
 	flag.Parse()
 	startTime := time.Now()
@@ -143,11 +141,7 @@ func main() {
 	sessOpts := qkbfly.SessionOptions{
 		MaxDocuments: *window,
 		HistoryLimit: *history,
-		// With -maintenance, ingest appends runs without merging and the
-		// scheduler compacts off the publish path; without it, Push
-		// compacts inline as before.
-		DeferCompaction: *maintenance,
-		Counters:        server.Counters(),
+		Counters:     server.Counters(),
 	}
 
 	// With -data-dir the session is durable: every published version's
@@ -209,44 +203,12 @@ func main() {
 	stopPatternMaint := server.MaintainPatterns(context.Background(), session)
 	defer stopPatternMaint()
 
-	// Background maintenance: a snapshot-isolated scheduler compacts the
-	// session's deferred runs (adopted only after a content-identity
-	// check, and only if the version was not superseded mid-job); the
-	// analytics tracker folds every published delta so GET /analytics
-	// answers in O(1) regardless of corpus size. One worker: supersession
-	// leaves at most one compaction per session worth finishing.
-	var (
-		maintainer *qkbfly.Maintainer
-		tracker    *qkbfly.AnalyticsTracker
-		scheduler  *sched.Scheduler
-	)
-	if *maintenance {
-		scheduler = sched.New(sched.Options{
-			Workers:  1,
-			Counters: server.Counters(),
-		})
-		maintainer = qkbfly.NewMaintainer(session, scheduler, qkbfly.MaintainerOptions{
-			Counters: server.Counters(),
-		})
-		tracker = qkbfly.NewAnalyticsTracker(session, qkbfly.AnalyticsOptions{
-			Counters: server.Counters(),
-		})
-	}
-	closeMaintenance := func() {
-		if maintainer != nil {
-			maintainer.Close() // stop enqueuing before tearing the queue down
-			maintainer = nil
-		}
-		if scheduler != nil {
-			scheduler.Close()
-			scheduler = nil
-		}
-		if tracker != nil {
-			tracker.Close()
-			tracker = nil
-		}
-	}
-	defer closeMaintenance()
+	// The analytics tracker folds every published delta so GET /analytics
+	// answers in O(1) regardless of corpus size.
+	tracker := qkbfly.NewAnalyticsTracker(session, qkbfly.AnalyticsOptions{
+		Counters: server.Counters(),
+	})
+	defer tracker.Close()
 
 	handler := serve.NewHandler(server, serve.HandlerOptions{
 		DefaultSource: "wikipedia",
@@ -271,11 +233,10 @@ func main() {
 	}
 
 	fmt.Fprintln(os.Stderr, "shutting down: draining in-flight requests...")
-	// Maintenance goes first (cancel running jobs, stop the analytics
-	// fold), then the session: closing it ends every /facts?follow= and
-	// /analytics?follow= stream, so the drain below is not held open for
-	// the full timeout by long-lived followers.
-	closeMaintenance()
+	// The analytics fold stops first, then the session: closing it ends
+	// every /facts?follow= and /analytics?follow= stream, so the drain
+	// below is not held open for the full timeout by long-lived followers.
+	tracker.Close()
 	session.Close()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()

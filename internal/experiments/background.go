@@ -12,17 +12,12 @@ import (
 	"qkbfly/internal/sched"
 )
 
-// Batch evaluation sweeps routed through the maintenance scheduler: each
+// Batch evaluation sweeps routed through the background scheduler: each
 // threshold of a τ sweep becomes one scheduler job over a PINNED session
 // snapshot. Because snapshots are immutable versions, a sweep started at
 // version v keeps reading v even while the live session ingests past it —
 // the analytical answer is internally consistent (every point measured
 // against the same KB) and the ingest path never blocks on analysis.
-//
-// Jobs carry Kind "" deliberately: supersession is for maintenance work
-// whose result only matters for the LATEST version (compaction). A
-// pinned sweep is the opposite contract — the caller asked
-// about version v specifically, so a newer version must not cancel it.
 
 // SweepPoint is one threshold of a snapshot sweep.
 type SweepPoint struct {

@@ -157,8 +157,9 @@ func Diff(old, new *KB) Delta {
 // or removed from old to obtain new: only keys (and entity IDs) those
 // segments mention can change winners, so the walk is one point lookup
 // per candidate key or entity ID per run — a binary search of the run's
-// key or entity index, O(|changed| · R · log n) for R = O(log W) runs of
-// at most n records — instead of O(window). A run both trees hold (they
+// key or entity index, O(|changed| · R · log n) for R runs of at most n
+// records, R = O(log W) plus the leaf runs appended since the last
+// compaction — instead of O(window). A run both trees hold (they
 // share every unchanged run by pointer) is searched once for both. The
 // session layer uses this to publish each version's delta, counts and
 // identity at sliding-ingest cost.

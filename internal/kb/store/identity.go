@@ -12,6 +12,7 @@
 package store
 
 import (
+	"container/heap"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -286,67 +287,96 @@ func spanIdentity(runs []*treeNode) segIdentity {
 		return out
 	}
 	var h lineHasher
-	c := (&Tree{runs: runs}).ScanPrefix("")
-	for min := c.head(); min >= 0; min = c.head() {
-		key, holders := c.keys[min], 0
-		for i := min; i < len(runs); i++ {
-			if c.valid[i] && c.keys[i] == key {
-				holders++
+	curs := make([]*SegmentCursor, len(runs))
+	keys := make([]string, len(runs))
+	facts := make([]*Fact, len(runs))
+	m := &spanMerge{key: func(i int) string { return keys[i] }}
+	advance := func(i int) {
+		var ok bool
+		if keys[i], facts[i], ok = curs[i].Next(); ok {
+			heap.Push(m, i)
+		}
+	}
+	for i, r := range runs {
+		curs[i] = r.seg.ScanPrefix("")
+		advance(i)
+	}
+	var group []int
+	for group = m.next(group); len(group) > 0; group = m.next(group) {
+		if len(group) > 1 {
+			// Fold as TreeCursor.Next does: the oldest holder is the base.
+			f := *facts[group[0]]
+			f.ID = -1
+			out.id = out.id.Sub(h.fact(facts[group[0]]))
+			for _, i := range group[1:] {
+				out.id = out.id.Sub(h.fact(facts[i]))
+				keepWinner(&f, facts[i])
 			}
+			out.id = out.id.Add(h.fact(&f))
+			out.facts -= len(group) - 1
 		}
-		if holders == 1 {
-			c.advance(min)
-			continue
+		for _, i := range group {
+			advance(i)
 		}
-		for i := min; i < len(runs); i++ {
-			if c.valid[i] && c.keys[i] == key {
-				out.id = out.id.Sub(h.fact(c.facts[i]))
-			}
-		}
-		_, f, _ := c.Next()
-		out.id = out.id.Add(h.fact(&f))
-		out.facts -= holders - 1
 	}
 
 	ds := make([]*segData, len(runs))
 	pos := make([]int, len(runs)) // next entSorted position per run
-	for i, r := range runs {
-		ds[i] = r.seg.payload()
-	}
 	at := func(i int) *EntityRecord { return &ds[i].ents[ds[i].entSorted[pos[i]]] }
-	for {
-		min := -1
-		for i := range ds {
-			if pos[i] < len(ds[i].entSorted) && (min < 0 || at(i).ID < at(min).ID) {
-				min = i
-			}
-		}
-		if min < 0 {
-			return out
-		}
-		eid, holders := at(min).ID, 0
-		var first *EntityRecord
-		var merged EntityRecord
-		for i := min; i < len(ds); i++ {
-			if pos[i] == len(ds[i].entSorted) || at(i).ID != eid {
-				continue
-			}
-			e := at(i)
-			pos[i]++
-			switch holders++; holders {
-			case 1:
-				first = e
-				continue
-			case 2:
-				merged = copyEntity(first)
-				out.id = out.id.Sub(h.entity(first))
-			}
-			out.id = out.id.Sub(h.entity(e))
-			unionEntity(&merged, e)
-		}
-		if holders > 1 {
-			out.id = out.id.Add(h.entity(&merged))
-			out.entities -= holders - 1
+	m = &spanMerge{key: func(i int) string { return at(i).ID }}
+	for i, r := range runs {
+		if ds[i] = r.seg.payload(); len(ds[i].entSorted) > 0 {
+			heap.Push(m, i)
 		}
 	}
+	for group = m.next(group); len(group) > 0; group = m.next(group) {
+		if len(group) > 1 {
+			merged := copyEntity(at(group[0]))
+			out.id = out.id.Sub(h.entity(at(group[0])))
+			for _, i := range group[1:] {
+				out.id = out.id.Sub(h.entity(at(i)))
+				unionEntity(&merged, at(i))
+			}
+			out.id = out.id.Add(h.entity(&merged))
+			out.entities -= len(group) - 1
+		}
+		for _, i := range group {
+			if pos[i]++; pos[i] < len(ds[i].entSorted) {
+				heap.Push(m, i)
+			}
+		}
+	}
+	return out
+}
+
+// spanMerge is the k-way merge spanIdentity walks: a heap of run
+// indices ordered by each run's pending key, oldest run first among
+// equal keys. A span can hold one leaf run per document of an ingest
+// batch, so each step is O(log k), not a scan of every run.
+type spanMerge struct {
+	runs []int
+	key  func(run int) string
+}
+
+func (m *spanMerge) Len() int { return len(m.runs) }
+func (m *spanMerge) Less(a, b int) bool {
+	ka, kb := m.key(m.runs[a]), m.key(m.runs[b])
+	return ka < kb || ka == kb && m.runs[a] < m.runs[b]
+}
+func (m *spanMerge) Swap(a, b int) { m.runs[a], m.runs[b] = m.runs[b], m.runs[a] }
+func (m *spanMerge) Push(x any)    { m.runs = append(m.runs, x.(int)) }
+func (m *spanMerge) Pop() any {
+	x := m.runs[len(m.runs)-1]
+	m.runs = m.runs[:len(m.runs)-1]
+	return x
+}
+
+// next pops every run holding the smallest pending key, oldest first,
+// into group[:0]; the caller pushes each back once it has advanced it.
+func (m *spanMerge) next(group []int) []int {
+	group = group[:0]
+	for len(m.runs) > 0 && (len(group) == 0 || m.key(m.runs[0]) == m.key(group[0])) {
+		group = append(group, heap.Pop(m).(int))
+	}
+	return group
 }

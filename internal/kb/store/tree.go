@@ -20,10 +20,7 @@
 // exactly the flat document-order merge of those segments.
 package store
 
-import (
-	"context"
-	"sort"
-)
+import "sort"
 
 // treeNode is one run of the merge tree. Leaves hold a single document's
 // segment; internal nodes hold the merge of their two children and
@@ -147,9 +144,9 @@ func (t *Tree) Push(seg *Segment, seq uint64) *Tree {
 // merge loop deferred. The derived tree holds the same content (every
 // read walks runs, so lookups, scans, diffs and eviction all work on
 // loose trees; only their per-run constant grows), and a later Compact
-// restores the LSM run-count invariant off the ingest path. Sessions
-// running deferred compaction use this so an ingest's critical section
-// is pure pointer work.
+// restores the LSM run-count invariant. Sessions use this so an
+// ingest's critical section is pure pointer work, and compact the
+// published tree off their lock.
 func (t *Tree) Append(seg *Segment, seq uint64) *Tree {
 	runs := make([]*treeNode, len(t.runs), len(t.runs)+1)
 	copy(runs, t.runs)
@@ -162,23 +159,17 @@ func (t *Tree) Append(seg *Segment, seq uint64) *Tree {
 func (t *Tree) RunCount() int { return len(t.runs) }
 
 // Compact merges the tail-equal runs Append deferred, returning the
-// derived tree and whether anything merged. See CompactContext.
-func (t *Tree) Compact() (*Tree, bool) { return t.CompactContext(context.Background()) }
-
-// CompactContext replays Push's equal-weight rule over the tree's runs:
-// runs are re-pushed oldest-first onto a stack, and while the two newest
-// stack entries have equal leaf counts they merge into their parent. For
-// a tree built by Append over a Push-compacted prefix this reproduces
-// exactly the run layout (the same runs over the same documents) that
-// inline compaction would have produced; after
-// evictions, whose splits Push itself never re-merges mid-sequence, it
-// may compact further. Either way the result materializes to the same
-// KB — segment merging is associative in content and layout.
-//
-// Compaction is the background maintenance job, so it is cancellable:
-// when ctx is done the original tree is returned unchanged with changed
-// = false (a superseded job abandons its partial merge work).
-func (t *Tree) CompactContext(ctx context.Context) (compacted *Tree, changed bool) {
+// derived tree and whether anything merged. It replays Push's
+// equal-weight rule over the tree's runs: runs are re-pushed
+// oldest-first onto a stack, and while the two newest stack entries
+// have equal leaf counts they merge into their parent. For a tree built
+// by Append over a Push-compacted prefix this reproduces exactly the run
+// layout (the same runs over the same documents) that Push would have
+// produced; after evictions, whose splits Push itself never re-merges
+// mid-sequence, it may compact further. Either way the result
+// materializes to the same KB — segment merging is associative in
+// content and layout.
+func (t *Tree) Compact() (compacted *Tree, changed bool) {
 	if len(t.runs) < 2 {
 		return t, false
 	}
@@ -187,9 +178,6 @@ func (t *Tree) CompactContext(ctx context.Context) (compacted *Tree, changed boo
 	for _, r := range t.runs {
 		runs = append(runs, r)
 		for len(runs) >= 2 && runs[len(runs)-2].leaves == runs[len(runs)-1].leaves {
-			if ctx.Err() != nil {
-				return t, false
-			}
 			a, b := runs[len(runs)-2], runs[len(runs)-1]
 			runs = runs[:len(runs)-2]
 			runs = append(runs, &treeNode{
@@ -210,7 +198,7 @@ func (t *Tree) CompactContext(ctx context.Context) (compacted *Tree, changed boo
 }
 
 // CompactionPreserves reports whether compacted, derived from t by
-// CompactContext, holds the same content as t, at the cost of what the
+// Compact, holds the same content as t, at the cost of what the
 // compaction merged rather than of the whole tree. The two run lists
 // are walked together: a run compacted shares with t by pointer is
 // skipped, and every other run must cover exactly a span of t's runs

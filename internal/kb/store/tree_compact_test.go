@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -143,33 +142,5 @@ func TestTreeCompactLookupWinners(t *testing.T) {
 		if !ok || entityChanged(&got, e) {
 			t.Fatalf("loose LookupEntity(%s) = %+v ok=%v, materialized %+v", e.ID, got, ok, *e)
 		}
-	}
-}
-
-// TestTreeCompactCancelled: a cancelled compaction (superseded
-// background job) returns the original tree unchanged — no partial
-// layouts ever escape.
-func TestTreeCompactCancelled(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	fx := &treeFixture{tree: NewTree(nil)}
-	for i := 0; i < 8; i++ {
-		fx.appendLoose(rng)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	got, changed := fx.tree.CompactContext(ctx)
-	if changed {
-		t.Error("cancelled compaction reported changed")
-	}
-	if got != fx.tree {
-		t.Error("cancelled compaction returned a derived tree")
-	}
-	// The original is untouched and still compactable.
-	if fx.tree.RunCount() != 8 {
-		t.Fatalf("loose tree mutated: %d runs", fx.tree.RunCount())
-	}
-	compacted, changed := fx.tree.Compact()
-	if !changed || compacted.RunCount() != 1 {
-		t.Fatalf("follow-up Compact: changed=%v runs=%d, want true/1", changed, compacted.RunCount())
 	}
 }

@@ -291,29 +291,40 @@ func appendQuoted(b []byte, s string) []byte {
 }
 
 // String renders the pattern back in source grammar (surface spellings,
-// not canonicalized).
+// not canonicalized): for a pattern Parse accepted, Parse(p.String())
+// has p's canonical form. A literal is quoted, through appendQuoted,
+// when it would not parse back bare — empty, holding a blank or a
+// quote, or spelled like a variable, the wildcard or an entity
+// reference.
 func (p *Pattern) String() string {
-	term := func(t Term, predicate bool) string {
-		switch t.Kind {
-		case TermWild:
-			return "_"
-		case TermVar:
-			return "?" + t.Name
-		default:
-			if !predicate && t.Value.IsEntity() {
-				return "e:" + t.Value.EntityID
+	b := make([]byte, 0, 32*len(p.Clauses))
+	for i := range p.Clauses {
+		if i > 0 {
+			b = append(b, " ; "...)
+		}
+		c := &p.Clauses[i]
+		for pos, t := range [3]*Term{&c.Subject, &c.Predicate, &c.Object} {
+			if pos > 0 {
+				b = append(b, ' ')
 			}
-			if strings.ContainsAny(t.Value.Literal, " \t\r\n;\"") || t.Value.Literal == "" {
-				return strconv.Quote(t.Value.Literal)
+			switch lit := t.Value.Literal; {
+			case t.Kind == TermWild:
+				b = append(b, '_')
+			case t.Kind == TermVar:
+				b = append(b, '?')
+				b = append(b, t.Name...)
+			case pos != 1 && t.Value.IsEntity():
+				b = append(b, "e:"...)
+				b = append(b, t.Value.EntityID...)
+			case lit == "" || lit == "_" || strings.HasPrefix(lit, "?") || strings.HasPrefix(lit, "e:") ||
+				strings.ContainsAny(lit, " \t\r\""):
+				b = appendQuoted(b, lit)
+			default:
+				b = append(b, lit...)
 			}
-			return t.Value.Literal
 		}
 	}
-	parts := make([]string, len(p.Clauses))
-	for i, c := range p.Clauses {
-		parts[i] = term(c.Subject, false) + " " + term(c.Predicate, true) + " " + term(c.Object, false)
-	}
-	return strings.Join(parts, " ; ")
+	return string(b)
 }
 
 // Vars returns the pattern's variable names in first-appearance order.

@@ -582,14 +582,16 @@ func TestVerifyRowMaintainsSupport(t *testing.T) {
 	}
 }
 
-// FuzzParsePattern: Parse never panics, and the canonical form of a
-// pattern it accepts parses back, with τ and limit set again, to the
-// same canonical form.
+// FuzzParsePattern: Parse never panics, and both the canonical form
+// and the surface rendering (String) of a pattern it accepts parse back,
+// with τ and limit set again, to the same canonical form.
 func FuzzParsePattern(f *testing.F) {
 	for _, src := range []string{
 		`?a "plays for" "New York" ; e:E1 rel ?a`, "?a rel ?b\n?b rel ?c",
 		`?x Plays_For ?y ; ?y based_in "Lyon"`, `e:Solo ?r _`, `?s "a \"q\" \\ b" ?o`,
 		"", "?a rel", `?a "unterminated`, "? rel x", "e: rel x", "?a e:E1 ?b", "a b c d",
+		// Quoted literals that render back wrongly unless String quotes them.
+		"?s r \"a\tb\"", `?s r "?x"`, `?s r "_"`, `?s r "e:Foo"`, `?s "?p" ?o`,
 	} {
 		f.Add(src)
 	}
@@ -607,6 +609,14 @@ func FuzzParsePattern(f *testing.F) {
 		back.Tau, back.Limit = p.Tau, p.Limit
 		if got := back.Canonical(); got != canon {
 			t.Fatalf("canonical form %q of %q parses back to %q", canon, src, got)
+		}
+		surface := p.String()
+		if back, err = Parse(surface); err != nil {
+			t.Fatalf("String() %q of %q does not parse: %v", surface, src, err)
+		}
+		back.Tau, back.Limit = p.Tau, p.Limit
+		if got := back.Canonical(); got != canon {
+			t.Fatalf("String() %q of %q parses back to %q, want %q", surface, src, got, canon)
 		}
 	})
 }

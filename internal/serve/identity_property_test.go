@@ -16,7 +16,6 @@ import (
 	"qkbfly/internal/kb/store/persist"
 	"qkbfly/internal/nlp"
 	"qkbfly/internal/query"
-	"qkbfly/internal/sched"
 	"qkbfly/internal/stats"
 )
 
@@ -90,8 +89,8 @@ func rowKeys(rows []query.Row) []string {
 
 // TestPatternAnswersAreAFunctionOfIdentity is the property the pattern
 // cache's key rests on. Over randomized schedules of ingests, documents
-// replaced under their IDs, evictions, adopted background compactions
-// and durable restarts:
+// replaced under their IDs, evictions, adopted compactions and durable
+// restarts:
 //
 //   - any two versions with one identity, whatever their run layouts
 //     and plans, answer every pattern with the same rows in Row.Key
@@ -122,15 +121,13 @@ func TestPatternAnswersAreAFunctionOfIdentity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
 		counters := stats.NewCounterSet()
-		sc := sched.New(sched.Options{Workers: 1, Counters: counters})
 		srv := New(vocabBackend{}, Options{})
 		seen := make(map[store.Identity][][]byte)
 
 		var (
-			sess  *qkbfly.Session
-			maint *qkbfly.Maintainer
-			p     *persist.Store
-			stop  func()
+			sess *qkbfly.Session
+			p    *persist.Store
+			stop func()
 		)
 		open := func() {
 			var rec *persist.Recovered
@@ -138,7 +135,7 @@ func TestPatternAnswersAreAFunctionOfIdentity(t *testing.T) {
 			if p, rec, err = persist.Open(dir, persist.Options{Logf: t.Logf}); err != nil {
 				t.Fatalf("%s: open store: %v", label, err)
 			}
-			opts := qkbfly.SessionOptions{MaxDocuments: 5, DeferCompaction: true, Persist: p, Counters: counters}
+			opts := qkbfly.SessionOptions{MaxDocuments: 5, Persist: p, Counters: counters}
 			if rec.Version == 0 {
 				sess = srv.OpenSession(opts)
 			} else {
@@ -150,13 +147,10 @@ func TestPatternAnswersAreAFunctionOfIdentity(t *testing.T) {
 					t.Fatalf("%s: restore: %v", label, err)
 				}
 			}
-			maint = qkbfly.NewMaintainer(sess, sc, qkbfly.MaintainerOptions{Counters: counters})
 			stop = srv.MaintainPatterns(ctx, sess)
 		}
 		closeAll := func() {
 			stop()
-			maint.Close()
-			sc.Drain()
 			sess.Close()
 			p.Flush()
 			if err := p.Close(); err != nil {
@@ -182,7 +176,7 @@ func TestPatternAnswersAreAFunctionOfIdentity(t *testing.T) {
 					sess.Evict(live[rng.Intn(len(live))])
 				}
 			case r < 9:
-				sc.Drain() // let a pending compaction land and be adopted
+				// No change: the current version is queried again.
 			default:
 				closeAll()
 				open()
@@ -218,9 +212,8 @@ func TestPatternAnswersAreAFunctionOfIdentity(t *testing.T) {
 			seen[snap.Identity()] = answers
 		}
 		closeAll()
-		sc.Close()
 		if counters.Get(qkbfly.CounterMaintCompactions) == 0 {
-			t.Errorf("%s: no background compaction was adopted; the schedule does not cover adoption", label)
+			t.Errorf("%s: no compaction was adopted; the schedule does not cover adoption", label)
 		}
 	}
 	if restores == 0 || repeats == 0 {

@@ -10,7 +10,6 @@ import (
 	"qkbfly"
 	"qkbfly/internal/nlp"
 	"qkbfly/internal/query"
-	"qkbfly/internal/sched"
 	"qkbfly/internal/serve"
 	"qkbfly/internal/stats"
 )
@@ -273,20 +272,16 @@ func TestPatternCacheReplacedDocIsFresh(t *testing.T) {
 	}
 }
 
-// TestPatternCacheHitsAfterAdoptedCompaction: an adopted background
-// compaction swaps the current snapshot for one over a different run
-// layout but the same content, so a query on it hits the entry
-// maintenance rolled to that version. Forty-byte document IDs make the
-// layout visible to any key built from run labels.
+// TestPatternCacheHitsAfterAdoptedCompaction: an adopted compaction
+// swaps the current snapshot for one over a different run layout but
+// the same content, so a query on it hits the entry maintenance rolled
+// to that version. Forty-byte document IDs make the layout visible to
+// any key built from run labels.
 func TestPatternCacheHitsAfterAdoptedCompaction(t *testing.T) {
 	srv := serve.New(&fakeBackend{}, serve.Options{})
 	counters := stats.NewCounterSet()
-	sess := srv.OpenSession(qkbfly.SessionOptions{DeferCompaction: true, Counters: counters})
+	sess := srv.OpenSession(qkbfly.SessionOptions{Counters: counters})
 	defer sess.Close()
-	sc := sched.New(sched.Options{Workers: 1, Counters: counters})
-	defer sc.Close()
-	maint := qkbfly.NewMaintainer(sess, sc, qkbfly.MaintainerOptions{Counters: counters})
-	defer maint.Close()
 	ctx := context.Background()
 	c := srv.Counters()
 	p := mustPattern(t, `?d mentions ?c`)
@@ -312,21 +307,22 @@ func TestPatternCacheHitsAfterAdoptedCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sc.Drain()
 	stop := srv.MaintainPatterns(ctx, sess)
 	defer stop()
 	if _, _, err := srv.QueryPattern(ctx, sess.Snapshot(), p); err != nil {
 		t.Fatal(err)
 	}
 
-	// Four loose leaves at once: the version schedules a compaction.
+	// Four loose leaves at once: the ingest compacts its version.
 	adopted := counters.Get(qkbfly.CounterMaintCompactions)
 	snap, _, err := sess.Ingest(ctx, docs(8, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor("the roll", func() bool { return c.Get(serve.CounterPatternMaintained) == 1 })
-	waitFor("the adoption", func() bool { return counters.Get(qkbfly.CounterMaintCompactions) > adopted })
+	if counters.Get(qkbfly.CounterMaintCompactions) == adopted {
+		t.Fatal("the ingest's compaction was not adopted")
+	}
 	cur := sess.Snapshot()
 	if cur == snap || cur.Version() != snap.Version() || cur.Tree().RunCount() >= snap.Tree().RunCount() {
 		t.Fatalf("no compacted handle at v%d (runs %d -> %d)", snap.Version(), snap.Tree().RunCount(), cur.Tree().RunCount())

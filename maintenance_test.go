@@ -1,28 +1,28 @@
 package qkbfly
 
-// Internal tests for the deferred-compaction maintenance path: the
-// invariants that matter when compaction is asynchronous — the run-count
-// bound holds (background adoption or inline backstop), adopted trees
-// are content-identical to their sources, and a job whose snapshot was
-// superseded mid-flight can never publish into a newer version.
+// Internal tests for the ingest path's compaction: the run-count bound
+// holds after every ingest, compacted trees are content-identical to
+// their sources, a compaction whose version was superseded while it ran
+// is never adopted, and a broken merge is refused.
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"qkbfly/internal/kb/store"
 	"qkbfly/internal/nlp"
-	"qkbfly/internal/sched"
 	"qkbfly/internal/stats"
 )
 
 // maintBuilder is a deterministic, pipeline-free ShardBuilder: one tiny
 // KB shard per document, keyed by the document ID. It keeps maintenance
 // tests fast and precise — the invariants under test live entirely in
-// the tree / session / scheduler layers.
+// the tree and session layers.
 type maintBuilder struct{}
 
 func (maintBuilder) BuildShardsContext(ctx context.Context, docs []*nlp.Document, opts ...Option) ([]*store.KB, *BuildStats, error) {
@@ -64,159 +64,135 @@ func maintDocs(n, from int) []*nlp.Document {
 	return docs
 }
 
-// TestMaintSchedCompactAdoptsAndMatchesPush: a deferred-compaction
-// session with a Maintainer converges to the same KB fingerprint as a
-// plain inline-compaction session over the same feed, within the
-// O(log W) run bound — background compaction restores the invariant
-// without changing content, and the fingerprint-identity verify gate
-// passes.
-func TestMaintSchedCompactAdoptsAndMatchesPush(t *testing.T) {
-	ctx := context.Background()
-	counters := stats.NewCounterSet()
-	sc := sched.New(sched.Options{Counters: counters})
-	defer sc.Close()
-
-	deferred := Open(maintBuilder{}, SessionOptions{DeferCompaction: true, Counters: counters})
-	defer deferred.Close()
-	m := NewMaintainer(deferred, sc, MaintainerOptions{Counters: counters})
-	defer m.Close()
-	plain := Open(maintBuilder{}, SessionOptions{})
-	defer plain.Close()
-
-	const n = 24
-	for i := 0; i < n; i++ {
-		docs := maintDocs(1, i)
-		if _, _, err := deferred.Ingest(ctx, docs); err != nil {
-			t.Fatalf("deferred ingest %d: %v", i, err)
-		}
-		if _, _, err := plain.Ingest(ctx, maintDocs(1, i)); err != nil {
-			t.Fatalf("plain ingest %d: %v", i, err)
-		}
+// flatKB is the one-shot flat merge of docs' shards, in order — what
+// every session version must hold.
+func flatKB(t *testing.T, docs []*nlp.Document) *store.KB {
+	t.Helper()
+	shards, _, err := maintBuilder{}.BuildShardsContext(context.Background(), docs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// With no new ingests, every submitted compaction has run to
-	// completion (adopted or refused) once Drain returns.
-	sc.Drain()
-
-	if got := counters.Get(CounterMaintCompactions); got == 0 {
-		t.Fatal("no background compaction was ever adopted")
+	kb := store.New()
+	for _, sh := range shards {
+		kb.Merge(sh)
 	}
-	if got := counters.Get(CounterMaintVerifyFails); got != 0 {
-		t.Fatalf("verify failures = %d, want 0", got)
-	}
-	snap, want := deferred.Snapshot(), plain.Snapshot()
-	if snap.Fingerprint() != want.Fingerprint() {
-		t.Fatal("deferred+compacted KB fingerprint differs from inline-compaction session")
-	}
-	// The adopted layout obeys the same O(log W) bound Push maintains;
-	// only the loose tail past the last adoption — fewer runs than the
-	// compaction trigger, or a job would have been submitted — exceeds it.
-	if got, bound := snap.Tree().RunCount(), bits.Len(n)+minLooseRuns-1; got > bound {
-		t.Fatalf("deferred tree still has %d runs after maintenance (plain has %d, bound %d)", got, want.Tree().RunCount(), bound)
-	}
-	// Cross-run winners survive deferral: the shared "latest" key must
-	// resolve identically on the loose/compacted tree and the plain one.
-	lf, ok1 := snap.Tree().Lookup(store.FactKey(&store.Fact{Subject: store.Value{EntityID: "corpus"}, Relation: "latest", Objects: []store.Value{{Literal: "doc"}}}))
-	pf, ok2 := want.Tree().Lookup(store.FactKey(&store.Fact{Subject: store.Value{EntityID: "corpus"}, Relation: "latest", Objects: []store.Value{{Literal: "doc"}}}))
-	if !ok1 || !ok2 || lf.Source != pf.Source || lf.Confidence != pf.Confidence {
-		t.Fatalf("cross-run winner diverged under deferral: %+v vs %+v", lf, pf)
-	}
+	return kb
 }
 
-// TestMaintCompactSupersededMidJob: a compaction computed against a
-// pinned snapshot must be refused once the session has moved on — the
-// stale layout is discarded and counted, and the newer version's content
-// is untouched.
-func TestMaintCompactSupersededMidJob(t *testing.T) {
+// TestMaintCompactBoundsRuns: over single-document ingests, every
+// version compacts once it has minLooseRuns loose runs, so after each
+// ingest the current tree stays within the O(log W) bound plus fewer
+// loose runs than the trigger, and holds exactly the flat merge of the
+// documents so far — including the cross-run winner of a key every
+// document shares.
+func TestMaintCompactBoundsRuns(t *testing.T) {
 	ctx := context.Background()
 	counters := stats.NewCounterSet()
-	s := Open(maintBuilder{}, SessionOptions{DeferCompaction: true, Counters: counters})
+	s := Open(maintBuilder{}, SessionOptions{Counters: counters})
 	defer s.Close()
 
-	if _, _, err := s.Ingest(ctx, maintDocs(6, 0)); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-	snap := s.Snapshot()
-	compacted, changed := snap.Tree().CompactContext(ctx)
-	if !changed {
-		t.Fatal("six loose runs did not compact")
-	}
-
-	// The session moves on before the job can adopt.
-	if _, _, err := s.Ingest(ctx, maintDocs(1, 6)); err != nil {
-		t.Fatalf("superseding ingest: %v", err)
-	}
-	if s.adoptCompacted(snap, compacted) {
-		t.Fatal("stale compaction was adopted over a newer version")
-	}
-	if got := s.Snapshot().Tree().Len(); got != 7 {
-		t.Fatalf("live tree has %d docs after refused adoption, want 7", got)
-	}
-
-	// The Maintainer job body counts the refusal the same way.
-	m := &Maintainer{s: s, opt: MaintainerOptions{Counters: counters}}
-	if err := m.compact(ctx, snap); err != nil {
-		t.Fatalf("superseded compact job errored: %v", err)
-	}
-	if got := counters.Get(CounterMaintSuperseded); got == 0 {
-		t.Fatal("superseded adoption not counted")
-	}
-
-	// Adoption against the CURRENT snapshot still works.
-	cur := s.Snapshot()
-	curCompacted, changed := cur.Tree().Compact()
-	if changed && !s.adoptCompacted(cur, curCompacted) {
-		t.Fatal("fresh compaction refused")
-	}
-	if s.Snapshot().Version() != cur.Version() {
-		t.Fatal("adoption bumped the version")
-	}
-	if s.Snapshot().Fingerprint() != cur.Fingerprint() {
-		t.Fatal("adoption changed content")
-	}
-}
-
-// TestMaintCompactBackstopBoundsRuns: with deferral on and no Maintainer
-// attached, the inline backstop caps read fan-in at the compaction debt
-// and counts itself.
-func TestMaintCompactBackstopBoundsRuns(t *testing.T) {
-	ctx := context.Background()
-	counters := stats.NewCounterSet()
-	s := Open(maintBuilder{}, SessionOptions{DeferCompaction: true, Counters: counters})
-	defer s.Close()
-
-	const n = 3 * compactionDebt
+	const n = 48
 	for i := 0; i < n; i++ {
 		if _, _, err := s.Ingest(ctx, maintDocs(1, i)); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		if got, bound := s.Snapshot().Tree().RunCount(), bits.Len(uint(i+1))+compactionDebt-1; got > bound {
-			t.Fatalf("ingest %d: %d runs exceed debt bound %d", i, got, bound)
+		snap := s.Snapshot()
+		if got, bound := snap.Tree().RunCount(), bits.Len(uint(i+1))+minLooseRuns-1; got > bound {
+			t.Fatalf("ingest %d: %d runs exceed the bound %d", i, got, bound)
+		}
+		if snap.Fingerprint() != flatKB(t, maintDocs(i+1, 0)).Fingerprint() {
+			t.Fatalf("ingest %d: KB differs from the flat merge", i)
 		}
 	}
-	if got := counters.Get(CounterCompactBackstops); got != 3 {
-		t.Fatalf("backstop compactions = %d, want 3", got)
+	if got := counters.Get(CounterMaintCompactions); got == 0 {
+		t.Fatal("no compaction was adopted")
 	}
-	plain := Open(maintBuilder{}, SessionOptions{})
-	defer plain.Close()
-	if _, _, err := plain.Ingest(ctx, maintDocs(n, 0)); err != nil {
-		t.Fatalf("plain ingest: %v", err)
+	if got := counters.Get(CounterMaintVerifyFails); got != 0 {
+		t.Fatalf("verify failures = %d, want 0", got)
 	}
-	if s.Snapshot().Fingerprint() != plain.Snapshot().Fingerprint() {
-		t.Fatal("backstop-compacted KB differs from inline-compaction build")
+	latest := store.Fact{Subject: store.Value{EntityID: "corpus"}, Relation: "latest", Objects: []store.Value{{Literal: "doc"}}}
+	got, ok := s.Snapshot().Tree().Lookup(store.FactKey(&latest))
+	var want store.Fact
+	for _, f := range flatKB(t, maintDocs(n, 0)).Facts() {
+		if store.FactKey(&f) == store.FactKey(&latest) {
+			want = f
+		}
+	}
+	if !ok || got.Source != want.Source || got.Confidence != want.Confidence {
+		t.Fatalf("cross-run winner %+v, flat merge has %+v", got, want)
 	}
 }
 
-// corruptBuilder is maintBuilder whose merge function — the one the
-// session's tree compacts with — breaks its output. Each document also
-// names a shared "corpus" entity after itself, so folding two runs in
-// the wrong order changes the merged record's name, and gives it a
-// mention of its own, which a merge that drops one loses.
-type corruptBuilder struct {
+// TestMaintCompactSupersededMidJob: a compaction whose version is
+// superseded while it merges is not adopted — the newer version's own
+// compaction is, and the content is the newer version's.
+func TestMaintCompactSupersededMidJob(t *testing.T) {
+	ctx := context.Background()
+	counters := stats.NewCounterSet()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // a failed check must not leave version 1's ingest blocked
+	var first atomic.Bool
+	merge := func(a, b *store.Segment) *store.Segment {
+		if first.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return store.MergeSegments(a, b)
+	}
+	s := Open(mergeBuilder{merge: merge}, SessionOptions{Counters: counters})
+	defer s.Close()
+
+	// Version 1 leaves minLooseRuns loose runs; its compaction holds in
+	// its first merge until version 2 has published and compacted.
+	v1 := make(chan *Snapshot, 1)
+	go func() {
+		snap, _, err := s.Ingest(ctx, maintDocs(minLooseRuns, 0))
+		if err != nil {
+			t.Error(err)
+		}
+		v1 <- snap
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("version 1 did not start compacting")
+	}
+	v2, _, err := s.Ingest(ctx, maintDocs(1, minLooseRuns))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := s.Snapshot()
+	if cur.Version() != 2 || cur == v2 || cur.Tree().RunCount() != 2 {
+		t.Fatalf("version 2 not compacted: v%d with %d runs", cur.Version(), cur.Tree().RunCount())
+	}
+	unblock()
+	if snap := <-v1; snap.Version() != 1 || snap.Tree().RunCount() != minLooseRuns {
+		t.Fatalf("version 1 ingest returned v%d with %d runs", snap.Version(), snap.Tree().RunCount())
+	}
+	if got := s.Snapshot(); got != cur {
+		t.Fatalf("the superseded compaction replaced version 2 (now v%d, %d runs)", got.Version(), got.Tree().RunCount())
+	}
+	if got := counters.Get(CounterMaintCompactions); got != 1 {
+		t.Fatalf("compactions adopted = %d, want 1 (version 2's)", got)
+	}
+	if cur.Fingerprint() != v2.Fingerprint() {
+		t.Fatal("adoption changed version 2's content")
+	}
+}
+
+// mergeBuilder is maintBuilder with the merge function the session's
+// tree compacts with given by the test. Each document also names a
+// shared "corpus" entity after itself, so folding two runs in the wrong
+// order changes the merged record's name, and gives it a mention of its
+// own, which a merge that drops one loses.
+type mergeBuilder struct {
 	maintBuilder
-	corrupt func(a, b *store.Segment) *store.Segment
+	merge func(a, b *store.Segment) *store.Segment
 }
 
-func (c corruptBuilder) BuildShardsContext(ctx context.Context, docs []*nlp.Document, opts ...Option) ([]*store.KB, *BuildStats, error) {
+func (c mergeBuilder) BuildShardsContext(ctx context.Context, docs []*nlp.Document, opts ...Option) ([]*store.KB, *BuildStats, error) {
 	shards, bs, err := c.maintBuilder.BuildShardsContext(ctx, docs, opts...)
 	for i, kb := range shards {
 		kb.AddEntity(store.EntityRecord{ID: "corpus", Name: docs[i].ID, Mentions: []string{"corpus " + docs[i].ID}})
@@ -224,7 +200,7 @@ func (c corruptBuilder) BuildShardsContext(ctx context.Context, docs []*nlp.Docu
 	return shards, bs, err
 }
 
-func (c corruptBuilder) MergeSegments(a, b *store.Segment) *store.Segment { return c.corrupt(a, b) }
+func (c mergeBuilder) MergeSegments(a, b *store.Segment) *store.Segment { return c.merge(a, b) }
 
 // resealed merges a and b correctly, then reseals the result with edit
 // applied to its facts and entity records.
@@ -248,11 +224,11 @@ func resealed(a, b *store.Segment, edit func(facts []store.Fact, ents []store.En
 	return store.SealSegment(out, m.ID())
 }
 
-// TestMaintRefusesCorruptCompaction: a maintainer whose compactions go
+// TestMaintRefusesCorruptCompaction: ingests whose compactions go
 // through a broken merge — one that drops a fact, swaps its inputs, or
-// drops an entity mention — fails verification on every job and never
-// swaps the session's snapshot: the published trees stay loose, and the
-// content matches a session built with the correct merge.
+// drops an entity mention — fail the content check every time and
+// never swap the session's snapshot: the published trees stay loose,
+// and the content matches a session built with the correct merge.
 func TestMaintRefusesCorruptCompaction(t *testing.T) {
 	corruptions := map[string]func(a, b *store.Segment) *store.Segment{
 		"drop-fact": func(a, b *store.Segment) *store.Segment {
@@ -277,16 +253,13 @@ func TestMaintRefusesCorruptCompaction(t *testing.T) {
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			counters := stats.NewCounterSet()
-			sc := sched.New(sched.Options{Counters: counters})
-			defer sc.Close()
-			s := Open(corruptBuilder{corrupt: corrupt}, SessionOptions{DeferCompaction: true, Counters: counters})
+			s := Open(mergeBuilder{merge: corrupt}, SessionOptions{Counters: counters})
 			defer s.Close()
-			m := NewMaintainer(s, sc, MaintainerOptions{Counters: counters})
-			defer m.Close()
-			plain := Open(corruptBuilder{corrupt: store.MergeSegments}, SessionOptions{})
+			plainCounters := stats.NewCounterSet()
+			plain := Open(mergeBuilder{merge: store.MergeSegments}, SessionOptions{Counters: plainCounters})
 			defer plain.Close()
 
-			const n = 12 // below compactionDebt: no inline backstop merges
+			const n = 12
 			for i := 0; i < n; i++ {
 				published, _, err := s.Ingest(ctx, maintDocs(1, i))
 				if err != nil {
@@ -295,7 +268,6 @@ func TestMaintRefusesCorruptCompaction(t *testing.T) {
 				if _, _, err := plain.Ingest(ctx, maintDocs(1, i)); err != nil {
 					t.Fatalf("plain ingest %d: %v", i, err)
 				}
-				sc.Drain() // the version's job has verified and been refused
 				if s.Snapshot() != published {
 					t.Fatalf("ingest %d: the published snapshot was swapped", i)
 				}
@@ -305,6 +277,9 @@ func TestMaintRefusesCorruptCompaction(t *testing.T) {
 			}
 			if got := counters.Get(CounterMaintCompactions); got != 0 {
 				t.Fatalf("%d corrupted compactions were adopted", got)
+			}
+			if got := plainCounters.Get(CounterMaintCompactions); got == 0 {
+				t.Fatal("the correct merge's session adopted no compaction")
 			}
 			snap := s.Snapshot()
 			if got := snap.Tree().RunCount(); got != n {

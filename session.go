@@ -19,22 +19,23 @@ import (
 // ErrSessionClosed is returned by Ingest and Evict after Close.
 var ErrSessionClosed = errors.New("qkbfly: session closed")
 
-// Counter names a session records into SessionOptions.Counters — the
+// Counter names a session records into SessionOptions.Counters: the
 // lagging-consumer drops, by what the dropped subscription was
 // projecting (Watch facts, WatchPattern rows, or bare deltas), and the
-// inline compactions the deferred-compaction backstop forced.
+// outcome of the compactions ingests run (see Session.compact).
 const (
 	CounterWatchDrops        = "session_watch_drops"
 	CounterPatternWatchDrops = "session_pattern_watch_drops"
 	CounterDeltaWatchDrops   = "session_delta_watch_drops"
-	CounterCompactBackstops  = "session_compact_backstops"
+	CounterMaintCompactions  = "maint_compactions_adopted"
+	CounterMaintVerifyFails  = "maint_verify_failures"
 )
 
-// compactionDebt is the deferred-compaction backstop: when this many
-// loose appends accumulate without a background compaction landing, the
-// next ingest compacts inline (counted as CounterCompactBackstops) so
-// read fan-in stays bounded even with no Maintainer attached.
-const compactionDebt = 64
+// minLooseRuns is the compaction trigger: an ingest that leaves this many
+// loose (uncompacted) leaf runs compacts the version it published — low
+// enough that read fan-in stays near the O(log W) bound, high enough
+// that a burst of single-document ingests merges once, not per ingest.
+const minLooseRuns = 4
 
 // ShardBuilder builds one deterministic KB shard per document — the
 // substrate a Session folds increments through. *System implements it
@@ -110,18 +111,16 @@ type SessionOptions struct {
 	// writeback (see Persistence). Restart with Restore over the
 	// persistence layer's recovered state.
 	Persist Persistence
-	// DeferCompaction moves the merge tree's equal-weight tail compaction
-	// off the ingest path: Ingest appends loose leaf runs (pure pointer
-	// work under the lock) and a background Maintainer compacts immutable
-	// snapshots, publishing the compacted layout back through
-	// adoptCompacted with a content-identity check. Reads work
-	// unchanged on loose trees; their per-run constant grows with the
-	// compaction debt, bounded by compactionDebt.
+	// DeferCompaction is ignored: every ingest appends loose leaf runs
+	// and compacts off the session lock (see Ingest).
+	//
+	// Deprecated: there is one compaction path; the field has no effect.
 	DeferCompaction bool
-	// Counters, when non-nil, receives the session_* accounting:
+	// Counters, when non-nil, receives the session's accounting:
 	// subscriber drops (plain, pattern and delta subscriptions shed for
-	// lagging a full buffer behind) and compaction backstops. Pass the
-	// serving layer's CounterSet to surface them through /stats.
+	// lagging a full buffer behind) and compactions adopted or refused by
+	// their content check. Pass the serving layer's CounterSet to surface
+	// them through /stats.
 	Counters *stats.CounterSet
 }
 
@@ -262,22 +261,7 @@ type Session struct {
 	subs    *fanout[DeltaEvent] // every subscriber, one event per published version (session_feed.go)
 	anonSeq int                 // synthetic keys for documents without IDs
 	closed  bool
-
-	// Deferred-compaction state: loose counts the leaf runs appended
-	// since the tree was last fully compacted (inline backstop or adopted
-	// background compaction); maint is the background maintenance hook
-	// notified of every published version (see Maintainer).
-	loose int
-	maint maintenanceHook
-}
-
-// maintenanceHook receives every published version, under the session
-// lock, so background maintenance can schedule snapshot-isolated work —
-// implemented by Maintainer. Like Persistence, implementations must only
-// enqueue: the jobs themselves run off the ingest path, over the
-// immutable snapshot, never the live tree.
-type maintenanceHook interface {
-	published(v uint64, snap *Snapshot, looseRuns int)
+	loose   int // leaf runs appended since the tree was last compacted
 }
 
 // Open starts a session over a shard builder (a *System, or a
@@ -432,7 +416,7 @@ func (s *Session) buildSegments(ctx context.Context, docs []*nlp.Document) ([]*s
 // Ingest feeds documents into the session: only documents not already
 // present (by ID) are built — through the session's builder, so a
 // server-backed session reuses cached segments — and their segments are
-// pushed into the merge tree in arrival order. When MaxDocuments is set
+// appended to the merge tree in arrival order. When MaxDocuments is set
 // and the batch overflows the window, the oldest documents are evicted
 // in the same step: survivors + increment publish as exactly one
 // version, and subscribers receive the increment's facts (plus any
@@ -440,11 +424,15 @@ func (s *Session) buildSegments(ctx context.Context, docs []*nlp.Document) ([]*s
 // annotated in place, as in BuildKBContext; pass doc.Clone() to keep
 // originals pristine.
 //
-// The returned Snapshot is the post-fold version and the BuildStats
-// account the engine work of this increment, with the tree fold time in
-// StageElapsed.Merge. Cancelling the context stops the build early: the
-// already-processed prefix still folds, unprocessed documents are not
-// registered, and ctx.Err() is returned. Re-ingesting a present document
+// An ingest that leaves minLooseRuns loose leaf runs compacts the
+// version it published before returning, off the session lock (see
+// compact). The returned Snapshot is the version as published, loose
+// layout included; Snapshot() returns the compacted handle once it is
+// adopted. The BuildStats account the engine work of this increment,
+// with the tree fold and compaction time in StageElapsed.Merge.
+// Cancelling the context stops the build early: the already-processed
+// prefix still folds, unprocessed documents are not registered, and
+// ctx.Err() is returned. Re-ingesting a present document
 // is a no-op. To replace a document's content under the same ID, Evict
 // it first — and if the session's builder caches shards (a
 // *serve.Server), also invalidate them (Server.InvalidateShards; the
@@ -490,20 +478,35 @@ func (s *Session) Ingest(ctx context.Context, docs []*nlp.Document) (*Snapshot, 
 		bs = &BuildStats{Parallelism: 1, PerDocElapsed: []time.Duration{}}
 	}
 
+	snap, compact, ferr := s.fold(newKeys, segs, bs)
+	if ferr != nil {
+		return snap, bs, ferr
+	}
+	if compact {
+		mergeStart := time.Now()
+		s.compact(snap)
+		bs.StageElapsed.Merge += time.Since(mergeStart)
+	}
+	bs.Elapsed = time.Since(start)
+	return snap, bs, err
+}
+
+// fold appends the sealed segments of an ingest to the merge tree as
+// loose leaf runs and publishes the result, compacting the accounting
+// to processed documents — exactly what engine.Run does for a batch. An
+// empty increment, a cancelled build (all-nil segments) or a batch
+// fully raced away by a concurrent Ingest does not publish a version
+// (and keeps zeroed stage timings, matching the engine's empty-batch
+// short-circuit). It returns the current version and whether the ingest
+// left enough loose runs to compact it.
+func (s *Session) fold(newKeys []string, segs []*store.Segment, bs *BuildStats) (*Snapshot, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return s.cur, bs, ErrSessionClosed
+		return s.cur, false, ErrSessionClosed
 	}
-
-	// Fold the sealed segments into the merge tree, compacting the
-	// accounting to processed documents — exactly what engine.Run does
-	// for a batch. An empty increment, a cancelled build (all-nil
-	// segments) or a batch fully raced away by a concurrent Ingest does
-	// not publish a version (and keeps zeroed stage timings, matching the
-	// engine's empty-batch short-circuit).
 	perDoc := bs.PerDocElapsed
-	bs.PerDocElapsed = make([]time.Duration, 0, len(newDocs))
+	bs.PerDocElapsed = make([]time.Duration, 0, len(newKeys))
 	var foldIdx []int
 	for i, seg := range segs {
 		if seg == nil {
@@ -524,15 +527,8 @@ func (s *Session) Ingest(ctx context.Context, docs []*nlp.Document) (*Snapshot, 
 			key := newKeys[i]
 			seq := s.nextSeq
 			s.nextSeq++
-			if s.opt.DeferCompaction {
-				// Deferred compaction: the critical section is pure pointer
-				// work; the equal-weight merges run later, over the immutable
-				// snapshot, in a background job.
-				tree = tree.Append(segs[i], seq)
-				s.loose++
-			} else {
-				tree = tree.Push(segs[i], seq)
-			}
+			tree = tree.Append(segs[i], seq)
+			s.loose++
 			s.segs[key] = segs[i]
 			s.seqs[key] = seq
 			s.docIDs = append(s.docIDs, key)
@@ -552,22 +548,34 @@ func (s *Session) Ingest(ctx context.Context, docs []*nlp.Document) (*Snapshot, 
 			tree, changed = s.dropLocked(tree, s.docIDs[:over], changed, ops)
 			s.docIDs = append([]string(nil), s.docIDs[over:]...)
 		}
-		// Deferred-compaction backstop: with no background compaction
-		// landing, read fan-in would grow one run per ingest — once the
-		// debt cap is hit this ingest compacts inline so the O(log W)
-		// bound holds even without a Maintainer attached.
-		if s.opt.DeferCompaction && s.loose >= compactionDebt {
-			if c, ok := tree.Compact(); ok {
-				tree = c
-			}
-			s.loose = 0
-			s.count(CounterCompactBackstops, 1)
-		}
 		bs.StageElapsed.Merge = time.Since(mergeStart)
 		s.advanceLocked(oldTree, tree, changed, ops)
 	}
-	bs.Elapsed = time.Since(start)
-	return s.cur, bs, err
+	return s.cur, len(foldIdx) > 0 && s.loose >= minLooseRuns, nil
+}
+
+// compact merges the loose runs of snap, the version an ingest just
+// published, off the session lock: it replays the equal-weight merge
+// rule over snap's immutable tree, checks that every merged run holds
+// what the runs it replaced held — O(merged facts and entities), not
+// O(window) — and swaps the result in if snap is still the current
+// version. A compaction that loses the race to a newer version is
+// dropped; the ingest that published that version compacts it, or the
+// next one does. Segment merging is associative in content and layout,
+// so a failed check means a broken merge function: the result is
+// refused and the tree stays loose.
+func (s *Session) compact(snap *Snapshot) {
+	compacted, changed := snap.tree.Compact()
+	if !changed {
+		return
+	}
+	if !snap.tree.CompactionPreserves(compacted) {
+		s.count(CounterMaintVerifyFails, 1)
+		return
+	}
+	if s.adoptCompacted(snap, compacted) {
+		s.count(CounterMaintCompactions, 1)
+	}
 }
 
 // pubOps collects what one version changed, for the Persistence hook:
@@ -602,11 +610,11 @@ func (s *Session) dropLocked(tree *store.Tree, victims []string, changed []*stor
 // oldTree by adding and removing the changed leaf segments, as the next
 // version. It diffs the two trees — the delta also yields the version's
 // counts and identity, folded from the current version's in O(|delta|)
-// — hands the version to the persistence sink and the maintenance hook
-// (if any), retains its diff, and offers one DeltaEvent to every
-// subscriber: all a subscriber's filtering and pattern evaluation
-// happens on its own side of the channel, so the work under the lock
-// does not grow with what subscribers project. Every version is fanned
+// — hands the version to the persistence sink (if any), retains its
+// diff, and offers one DeltaEvent to every subscriber: all a
+// subscriber's filtering and pattern evaluation happens on its own side
+// of the channel, so the work under the lock does not grow with what
+// subscribers project. Every version is fanned
 // out, including eviction-only ones whose delta carries removals alone.
 // Callers hold s.mu.
 func (s *Session) advanceLocked(oldTree, tree *store.Tree, changed []*store.Segment, ops *pubOps) {
@@ -615,9 +623,6 @@ func (s *Session) advanceLocked(oldTree, tree *store.Tree, changed []*store.Segm
 	s.cur = &Snapshot{tree: tree, version: v, content: s.cur.content.next(&delta, did)}
 	if s.opt.Persist != nil {
 		s.opt.Persist.Publish(v, s.nextSeq, ops.addKeys, ops.addSeqs, ops.addSegs, ops.delSeqs, tree)
-	}
-	if s.maint != nil {
-		s.maint.published(v, s.cur, s.loose)
 	}
 	if s.opt.HistoryLimit > 0 {
 		// Drop the oldest version by clearing its slot (so its delta and
@@ -787,14 +792,6 @@ func (s *Session) count(name string, delta int64) {
 	}
 }
 
-// attachMaintenance registers the background maintenance hook — at most
-// one per session (a later call replaces the hook; pass nil to detach).
-func (s *Session) attachMaintenance(m maintenanceHook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maint = m
-}
-
 // isClosed reports whether Close has run — background consumers (the
 // analytics tracker) use it to tell shutdown apart from a lag drop.
 func (s *Session) isClosed() bool {
@@ -803,17 +800,15 @@ func (s *Session) isClosed() bool {
 	return s.closed
 }
 
-// adoptCompacted publishes a background-compacted tree back into the
-// session. If snap is still the current version, the current snapshot is
-// swapped for one holding the compacted tree at the same version — no
-// new version, no delta, no subscriber traffic, and persistence is
+// adoptCompacted publishes a compacted tree back into the session. If
+// snap is still the current version, the current snapshot is swapped
+// for one holding the compacted tree at the same version — no new
+// version, no delta, no subscriber traffic, and persistence is
 // untouched (the durable log stores leaves, not layouts). The swap is
-// content-neutral: callers (Maintainer) verify the tree's content
-// identity against snap's before offering it, and the new handle carries
-// snap's counts and identity over. Returns false when snap has
-// been superseded by a newer version — the job's work is discarded, as
-// a fresher snapshot (with its own compaction job) has replaced it —
-// or when the session is closed.
+// content-neutral: the caller (compact) checks the tree's content
+// against snap's before offering it, and the new handle carries snap's
+// counts and identity over. Returns false when snap has been superseded
+// by a newer version, or when the session is closed.
 func (s *Session) adoptCompacted(snap *Snapshot, compacted *store.Tree) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,7 +12,6 @@ import (
 	"qkbfly/internal/kb/store/persist"
 	"qkbfly/internal/nlp"
 	"qkbfly/internal/replica"
-	"qkbfly/internal/sched"
 	"qkbfly/internal/stats"
 )
 
@@ -77,11 +76,12 @@ func checkIdentity(t *testing.T, label string, sess *qkbfly.Session, snap *qkbfl
 
 // TestIdentityFoldMatchesFingerprint is the folded identity's contract
 // as a property: over randomized schedules of ingests, evictions, window
-// slides, adopted background compactions and durable restarts, every
-// version's carried identity equals the identity of its materialized KB
-// and of its fingerprint text, and its carried counts equal the KB's —
-// for the live snapshot after every step (including a compacted handle
-// swapped in at the same version), and for every version a Feed replays.
+// slides, adopted compactions and durable restarts, every version's
+// carried identity equals the identity of its materialized KB and of
+// its fingerprint text, and its carried counts equal the KB's — for the
+// version each ingest published and the live snapshot after every step
+// (including a compacted handle swapped in at the same version), and
+// for every version a Feed replays.
 func TestIdentityFoldMatchesFingerprint(t *testing.T) {
 	ctx := context.Background()
 	restores := 0
@@ -91,12 +91,10 @@ func TestIdentityFoldMatchesFingerprint(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
 		counters := stats.NewCounterSet()
-		sc := sched.New(sched.Options{Workers: 1, Counters: counters})
 
 		var (
-			sess  *qkbfly.Session
-			maint *qkbfly.Maintainer
-			p     *persist.Store
+			sess *qkbfly.Session
+			p    *persist.Store
 		)
 		open := func() {
 			var rec *persist.Recovered
@@ -104,13 +102,12 @@ func TestIdentityFoldMatchesFingerprint(t *testing.T) {
 			if p, rec, err = persist.Open(dir, persist.Options{Logf: t.Logf}); err != nil {
 				t.Fatalf("%s: open store: %v", label, err)
 			}
-			opts := qkbfly.SessionOptions{MaxDocuments: 6, DeferCompaction: true, Persist: p, Counters: counters}
+			opts := qkbfly.SessionOptions{MaxDocuments: 6, Persist: p, Counters: counters}
 			if rec.Version == 0 {
 				sess = qkbfly.Open(b, opts)
 			} else if sess, err = qkbfly.Restore(b, opts, restoreState(rec)); err != nil {
 				t.Fatalf("%s: restore: %v", label, err)
 			}
-			maint = qkbfly.NewMaintainer(sess, sc, qkbfly.MaintainerOptions{Counters: counters})
 		}
 		open()
 
@@ -126,17 +123,15 @@ func TestIdentityFoldMatchesFingerprint(t *testing.T) {
 				}
 				next += k
 				checkIdentity(t, label+" ingest", sess, snap)
+				checkIdentity(t, label+" compacted", sess, sess.Snapshot())
 			case r < 7:
 				if live := sess.Docs(); len(live) > 0 {
 					snap, _ := sess.Evict(live[rng.Intn(len(live))])
 					checkIdentity(t, label+" evict", sess, snap)
 				}
 			case r < 9:
-				sc.Drain() // let a pending compaction land and be adopted
-				checkIdentity(t, label+" compacted", sess, sess.Snapshot())
+				checkIdentity(t, label+" current", sess, sess.Snapshot())
 			default:
-				maint.Close()
-				sc.Drain()
 				sess.Close()
 				p.Flush()
 				if err := p.Close(); err != nil {
@@ -157,12 +152,10 @@ func TestIdentityFoldMatchesFingerprint(t *testing.T) {
 		for _, ev := range feed.Replay {
 			checkIdentity(t, label+" replayed", sess, ev.Snap)
 		}
-		maint.Close()
-		sc.Close()
 		sess.Close()
 		p.Close()
 		if counters.Get(qkbfly.CounterMaintCompactions) == 0 {
-			t.Errorf("%s: no background compaction was adopted; the schedule does not cover adoption", label)
+			t.Errorf("%s: no compaction was adopted; the schedule does not cover adoption", label)
 		}
 		if n := counters.Get(qkbfly.CounterMaintVerifyFails); n != 0 {
 			t.Errorf("%s: %d compactions failed the identity check", label, n)
@@ -173,23 +166,24 @@ func TestIdentityFoldMatchesFingerprint(t *testing.T) {
 	}
 }
 
-// TestIdentityFoldAcrossBackstops: with deferred compaction and no
-// Maintainer, every compactionDebt-th ingest compacts inline; the
-// versions it publishes carry the same folded identity and counts as
-// their KBs.
-func TestIdentityFoldAcrossBackstops(t *testing.T) {
+// TestIdentityFoldAcrossCompactions: over single-document ingests into
+// a sliding window, every version an ingest publishes, and the
+// compacted handle it swaps in, carry the same folded identity and
+// counts as their KBs.
+func TestIdentityFoldAcrossCompactions(t *testing.T) {
 	b, docs := identityShards(140, 4)
 	counters := stats.NewCounterSet()
-	sess := qkbfly.Open(b, qkbfly.SessionOptions{MaxDocuments: 8, DeferCompaction: true, Counters: counters, HistoryLimit: -1})
+	sess := qkbfly.Open(b, qkbfly.SessionOptions{MaxDocuments: 8, Counters: counters, HistoryLimit: -1})
 	defer sess.Close()
 	for i, d := range docs {
 		snap, _, err := sess.Ingest(context.Background(), []*nlp.Document{d})
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		checkIdentity(t, "backstop", sess, snap)
+		checkIdentity(t, "ingest", sess, snap)
+		checkIdentity(t, "compacted", sess, sess.Snapshot())
 	}
-	if counters.Get(qkbfly.CounterCompactBackstops) < 2 {
-		t.Fatalf("%d backstops over %d single-document ingests", counters.Get(qkbfly.CounterCompactBackstops), len(docs))
+	if n := counters.Get(qkbfly.CounterMaintCompactions); n < 2 {
+		t.Fatalf("%d compactions adopted over %d single-document ingests", n, len(docs))
 	}
 }
