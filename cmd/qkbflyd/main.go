@@ -106,11 +106,14 @@ func main() {
 	cfg := corpus.DefaultConfig()
 	cfg.Seed = *seed
 	fmt.Fprintln(os.Stderr, "generating world and background statistics...")
+	buildStart := time.Now()
 	w := corpus.NewWorld(cfg)
 	bg := w.BackgroundCorpus()
 	pipe := clause.NewPipeline(w.Repo, depparse.Malt)
 	st := stats.Build(corpus.Docs(bg), w.Repo, pipe)
 	idx := search.New(corpus.Docs(append(bg, w.NewsDataset(*news)...)))
+	fmt.Fprintf(os.Stderr, "world and background statistics ready in %s (%d entities, %d facts, %d background documents)\n",
+		time.Since(buildStart).Round(time.Millisecond), len(w.Order), len(w.Facts), len(bg))
 
 	qcfg := qkbfly.DefaultConfig()
 	qcfg.Parallelism = *par

@@ -6,6 +6,7 @@ import (
 
 	"qkbfly/internal/kb/entityrepo"
 	"qkbfly/internal/nlp"
+	"qkbfly/internal/parallel"
 )
 
 // This file assembles the evaluation datasets of §7 from the world:
@@ -29,46 +30,52 @@ func Docs(gds []*GenDoc) []*nlp.Document {
 // BackgroundCorpus returns anchor-annotated articles about every
 // non-emerging entity. These drive the statistics (S).
 func (w *World) BackgroundCorpus() []*GenDoc {
-	var out []*GenDoc
+	var ids []string
 	for _, id := range w.Order {
-		e := w.Entities[id]
-		if e.Emerging {
-			continue
+		if !w.Entities[id].Emerging {
+			ids = append(ids, id)
 		}
-		out = append(out, w.Article(id, true))
 	}
-	return out
+	return realizeAll(len(ids), func(i int) *GenDoc { return w.Article(ids[i], true) })
 }
 
 // WikiDataset returns up to n plain (anchor-free) articles about prominent
 // entities: the stand-in for the DEFIE-Wikipedia benchmark of §7.1.
 func (w *World) WikiDataset(n int) []*GenDoc {
-	var out []*GenDoc
+	var ids []string
 	for _, id := range w.Order {
 		e := w.Entities[id]
 		if e.Emerging || !entityrepo.Subsumes(entityrepo.TypePerson, e.Type) {
 			continue
 		}
-		// A different realization than the background corpus (variant
-		// 1009): same facts, different phrasing and alias choices.
-		out = append(out, w.ArticleVariant(id, 1009, false))
-		if len(out) >= n {
+		ids = append(ids, id)
+		if len(ids) >= n {
 			break
 		}
 	}
-	return out
+	// A different realization than the background corpus (variant 1009):
+	// same facts, different phrasing and alias choices.
+	return realizeAll(len(ids), func(i int) *GenDoc { return w.ArticleVariant(ids[i], 1009, false) })
 }
 
 // NewsDataset returns news stories: several differently-phrased articles
 // per emerging event. Emerging entities appear, but most participants are
 // repository entities (the paper measured 24% out-of-KB here).
 func (w *World) NewsDataset(articlesPerEvent int) []*GenDoc {
-	var out []*GenDoc
-	for i := range w.Events {
-		for v := 0; v < articlesPerEvent; v++ {
-			out = append(out, w.NewsArticle(&w.Events[i], v))
-		}
+	if articlesPerEvent <= 0 {
+		return nil
 	}
+	return realizeAll(len(w.Events)*articlesPerEvent, func(i int) *GenDoc {
+		return w.NewsArticle(&w.Events[i/articlesPerEvent], i%articlesPerEvent)
+	})
+}
+
+// realizeAll generates n documents on every core, document i by gen(i)
+// into slot i. Every realizer draws from its own seeded RNG, so the
+// result is the same as generating them one by one.
+func realizeAll(n int, gen func(i int) *GenDoc) []*GenDoc {
+	out := make([]*GenDoc, n)
+	parallel.For(n, func(i int) { out[i] = gen(i) })
 	return out
 }
 

@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"qkbfly/internal/nlp"
@@ -393,8 +394,21 @@ func (w *World) LiveArticle(entityID string) *GenDoc {
 func (w *World) article(entityID string, variant int, withAnchors, includeEvents bool) *GenDoc {
 	e := w.Entities[entityID]
 	r := newRealizer(w, int(hash32(entityID))+variant)
+	// Only the entity's own facts, its home city's and the event facts
+	// that mention it can pass the if chain below; every other fact falls
+	// through it. Visiting these candidates in ascending fact order keeps
+	// the realization order, the related cap and the RNG draws of a scan
+	// over all of Facts.
+	cands := append([]int(nil), w.bySubject[entityID]...)
+	if e.HomeCity != "" {
+		cands = append(cands, w.bySubject[e.HomeCity]...)
+	}
+	if includeEvents {
+		cands = append(cands, w.eventsByObject[entityID]...)
+	}
+	slices.Sort(cands)
 	var related []int
-	for i := range w.Facts {
+	for _, i := range slices.Compact(cands) {
 		f := &w.Facts[i]
 		if f.EventID >= 0 && !includeEvents {
 			continue // event facts postdate the background snapshot
@@ -446,16 +460,19 @@ func (w *World) NewsArticle(ev *Event, variant int) *GenDoc {
 			}
 		}
 	}
-	// Background recap about each participant (more in even variants).
+	// Background recap about each participant in Order (more in even
+	// variants): its first background facts as subject.
+	ids := make([]string, 0, len(participants))
+	for id := range participants {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b string) int { return w.orderPos[a] - w.orderPos[b] })
 	maxRecap := 4 + 4*((variant+1)%2)
-	for _, id := range w.Order {
-		if !participants[id] {
-			continue
-		}
+	for _, id := range ids {
 		n := 0
-		for i := range w.Facts {
+		for _, i := range w.bySubject[id] {
 			f := &w.Facts[i]
-			if f.EventID != -1 || f.Subject != id {
+			if f.EventID != -1 {
 				continue
 			}
 			r.realizeFact(f, true)

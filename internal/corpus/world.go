@@ -79,7 +79,10 @@ type Event struct {
 	Queries  []string // entity names a journalist would query
 }
 
-// World is the closed universe everything is generated from.
+// World is the closed universe everything is generated from. It is
+// immutable once NewWorld returns: Entities, Order and Facts are fixed
+// then, the fact index below is built from them, and the generators read
+// one World from many goroutines at once.
 type World struct {
 	Config   Config
 	Entities map[string]*Entity
@@ -92,6 +95,13 @@ type World struct {
 
 	rng     *rand.Rand
 	usedIDs map[string]int
+
+	// The fact index, built by indexFacts: fact indices by subject and
+	// event-fact indices by object entity, each ascending, and every
+	// entity's position in Order.
+	bySubject      map[string][]int
+	eventsByObject map[string][]int
+	orderPos       map[string]int
 }
 
 // Config controls world size. Zero values are replaced by defaults.
@@ -294,7 +304,34 @@ func NewWorld(cfg Config) *World {
 	w.generateEvents()
 	w.generateEpisodes()
 	w.buildRepo()
+	w.indexFacts()
 	return w
+}
+
+// indexFacts builds the fact index in one pass over Facts, so an article
+// visits only the facts that can appear in it instead of all of them.
+func (w *World) indexFacts() {
+	w.bySubject = make(map[string][]int, len(w.Order))
+	w.eventsByObject = make(map[string][]int)
+	w.orderPos = make(map[string]int, len(w.Order))
+	for i, id := range w.Order {
+		w.orderPos[id] = i
+	}
+	for i := range w.Facts {
+		f := &w.Facts[i]
+		w.bySubject[f.Subject] = append(w.bySubject[f.Subject], i)
+		if f.EventID < 0 {
+			continue
+		}
+		for _, o := range f.Objects {
+			if !o.IsEntity() {
+				continue
+			}
+			if ids := w.eventsByObject[o.EntityID]; len(ids) == 0 || ids[len(ids)-1] != i {
+				w.eventsByObject[o.EntityID] = append(ids, i)
+			}
+		}
+	}
 }
 
 // Entity returns a world entity by ID (nil if unknown).

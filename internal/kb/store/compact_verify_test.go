@@ -268,21 +268,30 @@ func (w *slidingWindow) slide(k int) []*Segment {
 	return changed
 }
 
-// BenchmarkDiffTrees: the ingest path's delta — one 4-document slide of
-// a compacted 1024-leaf window, diffed by point lookups over the changed
-// leaves' keys and entity IDs.
+// BenchmarkDiffTrees: the ingest path's delta, diffed by lookups of the
+// changed leaves' keys and entity IDs. "slide" is one 4-document slide
+// of a compacted 1024-leaf window; "loose" is a 64-document batch
+// appended as loose leaf runs (and 64 evicted), the shape a batched
+// /ingest publishes before it compacts.
 func BenchmarkDiffTrees(b *testing.B) {
-	const window, step = 1024, 4
-	w := newSlidingWindow(window, step*b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		w.tree, _ = w.tree.Compact()
-		old := w.tree
-		changed := w.slide(step)
-		b.StartTimer()
-		diffSink, _ = DiffTrees(old, w.tree, changed)
+	const window = 1024
+	for _, c := range []struct {
+		name string
+		step int
+	}{{"slide", 4}, {"loose", 64}} {
+		b.Run(c.name, func(b *testing.B) {
+			w := newSlidingWindow(window, c.step*b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w.tree, _ = w.tree.Compact()
+				old := w.tree
+				changed := w.slide(c.step)
+				b.StartTimer()
+				diffSink, _ = DiffTrees(old, w.tree, changed)
+			}
+		})
 	}
 }
 

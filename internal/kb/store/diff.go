@@ -155,12 +155,14 @@ func Diff(old, new *KB) Delta {
 // of the records it adds or upgrades to minus those of the records it
 // removes or replaces. changed must contain every leaf segment added to
 // or removed from old to obtain new: only keys (and entity IDs) those
-// segments mention can change winners, so the walk is one point lookup
-// per candidate key or entity ID per run — a binary search of the run's
-// key or entity index, O(|changed| · R · log n) for R runs of at most n
-// records, R = O(log W) plus the leaf runs appended since the last
-// compaction — instead of O(window). A run both trees hold (they
-// share every unchanged run by pointer) is searched once for both. The
+// segments mention can change winners, so the walk visits the candidate
+// keys (and entity IDs) in ascending order and looks each up in every
+// run. A run that is itself a changed leaf — an ingest's loose runs, an
+// evicted leaf still a run of old — holds nothing but candidates, so its
+// hits come from walking its own sorted records alongside; every other
+// run is binary-searched, O(|changed| · R · log n) for R such runs of at
+// most n records, instead of O(window). A run both trees hold (they
+// share every unchanged run by pointer) is visited once for both. The
 // session layer uses this to publish each version's delta, counts and
 // identity at sliding-ingest cost.
 func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
@@ -173,10 +175,15 @@ func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
 		return cp
 	}
 	runs := pairRuns(old, new)
+	walked := runs.changedLeaves(changed)
 	facts := make([]*Fact, len(runs.segs))
 	for _, key := range candidateKeys(changed) {
 		for i, seg := range runs.segs {
-			facts[i], _ = seg.Lookup(key)
+			if w := &walked[i]; w.d != nil {
+				facts[i] = w.fact(key)
+			} else {
+				facts[i], _ = seg.Lookup(key)
+			}
 		}
 		of, oldOK := foldFact(runs.old, facts)
 		nf, newOK := foldFact(runs.new, facts)
@@ -195,6 +202,10 @@ func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
 	ents := make([]*EntityRecord, len(runs.segs))
 	for _, id := range candidateEntities(changed) {
 		for i, seg := range runs.segs {
+			if w := &walked[i]; w.d != nil {
+				ents[i] = w.entity(id)
+				continue
+			}
 			ents[i] = nil
 			p := seg.payload()
 			if j := p.entity(id); j >= 0 {
@@ -216,6 +227,35 @@ func DiffTrees(old, new *Tree, changed []*Segment) (Delta, Identity) {
 		}
 	}
 	return d, did
+}
+
+// leafWalk walks one changed leaf's records in key (and entity ID) order
+// alongside the ascending candidates. Every key the leaf holds is a
+// candidate, so its next unvisited record either matches the candidate
+// asked for or comes later.
+type leafWalk struct {
+	d      *segData // nil: the run is not a changed leaf
+	fi, ei int      // next position in d.sorted and d.entSorted
+}
+
+func (w *leafWalk) fact(key string) *Fact {
+	if w.fi < len(w.d.sorted) {
+		if i := w.d.sorted[w.fi]; w.d.keys[i] == key {
+			w.fi++
+			return &w.d.facts[i]
+		}
+	}
+	return nil
+}
+
+func (w *leafWalk) entity(id string) *EntityRecord {
+	if w.ei < len(w.d.entSorted) {
+		if i := w.d.entSorted[w.ei]; w.d.ents[i].ID == id {
+			w.ei++
+			return &w.d.ents[i]
+		}
+	}
+	return nil
 }
 
 // runPair lists the distinct runs of two trees, so a lookup visits a
@@ -247,6 +287,22 @@ func pairRuns(old, new *Tree) runPair {
 		p.new[i] = j
 	}
 	return p
+}
+
+// changedLeaves returns, per run, a walk over its records if the run is
+// one of the changed leaves, and a zero leafWalk otherwise.
+func (p runPair) changedLeaves(changed []*Segment) []leafWalk {
+	leaf := make(map[*Segment]bool, len(changed))
+	for _, c := range changed {
+		leaf[c] = true
+	}
+	walks := make([]leafWalk, len(p.segs))
+	for i, seg := range p.segs {
+		if leaf[seg] {
+			walks[i].d = seg.payload()
+		}
+	}
+	return walks
 }
 
 // foldFact folds one key's per-run hits (nil where a run lacks the key)

@@ -122,6 +122,59 @@ func TestDiffTreesMatchesFlatDiff(t *testing.T) {
 	}
 }
 
+// TestDiffTreesLooseBatch: the shape a batched ingest publishes — 64
+// documents appended as loose leaf runs while some compacted and some
+// loose documents are evicted — diffs, through DiffTrees' walk over the
+// changed leaves' own records, to the flat Diff of the two materialized
+// versions, and its identity change takes the old identity to the new.
+func TestDiffTreesLooseBatch(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(900 + seed))
+		fx := &treeFixture{tree: NewTree(nil)}
+		for i := 0; i < 24; i++ {
+			doc := fmt.Sprintf("doc%03d", fx.next)
+			fx.pushShard(doc, respelledShard(rng, doc))
+		}
+		// Two batches: the second starts from a tree that still holds
+		// the first batch's loose runs and evicts some of them.
+		for batch := 0; batch < 2; batch++ {
+			old := fx.tree
+			oldKB := old.Materialize()
+			var changed []*Segment
+			for i := 0; i < 64; i++ {
+				doc := fmt.Sprintf("doc%03d", fx.next)
+				kb := respelledShard(rng, doc)
+				seg := SealSegment(kb, doc)
+				fx.tree = fx.tree.Append(seg, fx.next)
+				fx.seqs = append(fx.seqs, fx.next)
+				fx.shards = append(fx.shards, kb)
+				fx.segs = append(fx.segs, seg)
+				fx.next++
+				changed = append(changed, seg)
+			}
+			for i := 0; i < 6+rng.Intn(6); i++ {
+				j := rng.Intn(len(fx.shards) - 64)
+				changed = append(changed, fx.segs[j])
+				fx.remove(j)
+			}
+			newKB := fx.tree.Materialize()
+			label := fmt.Sprintf("seed %d batch %d", seed, batch)
+
+			d, did := DiffTrees(old, fx.tree, changed)
+			assertDeltasEqual(t, d, Diff(oldKB, newKB), label)
+			if d.Empty() {
+				t.Fatalf("%s: empty delta", label)
+			}
+			if got, want := oldKB.Identity().Add(did), newKB.Identity(); got != want {
+				t.Fatalf("%s: folded identity %s, want %s", label, got.Hex(), want.Hex())
+			}
+			if d.Apply(oldKB).Fingerprint() != newKB.Fingerprint() {
+				t.Fatalf("%s: delta does not reconstruct the new version", label)
+			}
+		}
+	}
+}
+
 func assertDeltasEqual(t *testing.T, got, want Delta, label string) {
 	t.Helper()
 	factsEq := func(kind string, g, w []Fact) {

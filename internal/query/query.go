@@ -136,17 +136,19 @@ func errPattern(format string, args ...any) error {
 //
 // A bare subject/object token is a literal; the predicate token (bare or
 // quoted) is the relation name. Quoted strings use \" and \\ escapes and
-// may contain spaces. τ and limit are not part of the text form — set
-// them on the returned Pattern.
+// may contain spaces, ';' and newlines: clauses split only outside
+// quotes. τ and limit are not part of the text form — set them on the
+// returned Pattern.
 func Parse(src string) (*Pattern, error) {
 	p := &Pattern{}
-	for _, line := range strings.FieldsFunc(src, func(r rune) bool { return r == ';' || r == '\n' }) {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		toks, err := tokenize(line)
+	for rest := src; rest != ""; {
+		toks, line, next, err := tokenizeClause(rest)
 		if err != nil {
 			return nil, err
+		}
+		rest = next
+		if len(toks) == 0 {
+			continue
 		}
 		if len(toks) != 3 {
 			return nil, errPattern("clause %q has %d terms, want 3 (subject predicate object)", strings.TrimSpace(line), len(toks))
@@ -176,37 +178,40 @@ type token struct {
 	quoted bool
 }
 
-func tokenize(line string) ([]token, error) {
-	var toks []token
+// tokenizeClause lexes the first clause of src: its terms, its source
+// text, and what follows the ';' or newline that ends it outside quotes.
+func tokenizeClause(src string) (toks []token, line, rest string, err error) {
 	i := 0
-	for i < len(line) {
+	for i < len(src) {
 		switch {
-		case line[i] == ' ' || line[i] == '\t' || line[i] == '\r':
+		case src[i] == ';' || src[i] == '\n':
+			return toks, src[:i], src[i+1:], nil
+		case src[i] == ' ' || src[i] == '\t' || src[i] == '\r':
 			i++
-		case line[i] == '"':
+		case src[i] == '"':
 			var b strings.Builder
 			j := i + 1
-			for ; j < len(line) && line[j] != '"'; j++ {
-				if line[j] == '\\' && j+1 < len(line) {
+			for ; j < len(src) && src[j] != '"'; j++ {
+				if src[j] == '\\' && j+1 < len(src) {
 					j++
 				}
-				b.WriteByte(line[j])
+				b.WriteByte(src[j])
 			}
-			if j >= len(line) {
-				return nil, errPattern("unterminated quote in %q", strings.TrimSpace(line))
+			if j >= len(src) {
+				return nil, "", "", errPattern("unterminated quote in %q", strings.TrimSpace(src))
 			}
 			toks = append(toks, token{text: b.String(), quoted: true})
 			i = j + 1
 		default:
 			j := i
-			for j < len(line) && line[j] != ' ' && line[j] != '\t' && line[j] != '\r' {
+			for j < len(src) && !strings.ContainsRune(" \t\r;\n", rune(src[j])) {
 				j++
 			}
-			toks = append(toks, token{text: line[i:j]})
+			toks = append(toks, token{text: src[i:j]})
 			i = j
 		}
 	}
-	return toks, nil
+	return toks, src, "", nil
 }
 
 func parseTerm(t token, predicate bool) (Term, error) {
@@ -293,9 +298,9 @@ func appendQuoted(b []byte, s string) []byte {
 // String renders the pattern back in source grammar (surface spellings,
 // not canonicalized): for a pattern Parse accepted, Parse(p.String())
 // has p's canonical form. A literal is quoted, through appendQuoted,
-// when it would not parse back bare — empty, holding a blank or a
-// quote, or spelled like a variable, the wildcard or an entity
-// reference.
+// when it would not parse back bare — empty, holding a blank, a quote
+// or a clause separator, or spelled like a variable, the wildcard or an
+// entity reference.
 func (p *Pattern) String() string {
 	b := make([]byte, 0, 32*len(p.Clauses))
 	for i := range p.Clauses {
@@ -317,7 +322,7 @@ func (p *Pattern) String() string {
 				b = append(b, "e:"...)
 				b = append(b, t.Value.EntityID...)
 			case lit == "" || lit == "_" || strings.HasPrefix(lit, "?") || strings.HasPrefix(lit, "e:") ||
-				strings.ContainsAny(lit, " \t\r\""):
+				strings.ContainsAny(lit, " \t\r\";\n"):
 				b = appendQuoted(b, lit)
 			default:
 				b = append(b, lit...)

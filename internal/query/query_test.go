@@ -297,6 +297,39 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseSeparatorsInQuotes: ';' and newline end a clause only outside
+// quotes; inside a quoted literal they are part of it, and String
+// quotes such a literal so it parses back.
+func TestParseSeparatorsInQuotes(t *testing.T) {
+	for _, c := range []struct {
+		src     string
+		clauses int
+		object  string // first clause's object literal
+	}{
+		{`?s r "a;b"`, 1, "a;b"},
+		{"?s r \"a\nb\"", 1, "a\nb"},
+		{`?s "x;y" "a;b" ; ?s r2 c`, 2, "a;b"},
+		{"?s r \"a\nb\"\n?s r2 \"c;\"", 2, "a\nb"},
+		{`?s r a;?s r2 b`, 2, "a"},
+	} {
+		p, err := Parse(c.src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.src, err)
+		}
+		if len(p.Clauses) != c.clauses || p.Clauses[0].Object.Value.Literal != c.object {
+			t.Fatalf("Parse(%q) = %d clauses, first object %q; want %d, %q",
+				c.src, len(p.Clauses), p.Clauses[0].Object.Value.Literal, c.clauses, c.object)
+		}
+		back, err := Parse(p.String())
+		if err != nil || back.Canonical() != p.Canonical() {
+			t.Fatalf("String() %q of %q parses back to %v, %v", p.String(), c.src, back, err)
+		}
+	}
+	if _, err := Parse(`?s r "a;b`); err == nil {
+		t.Fatal("unterminated quote holding ';' parsed")
+	}
+}
+
 func TestCanonical(t *testing.T) {
 	a, _ := Parse(`?x Plays_For ?y ; ?y based_in "Lyon"`)
 	b, _ := Parse(`?p plays_for ?q ; ?q BASED_IN lyon`)
@@ -592,6 +625,8 @@ func FuzzParsePattern(f *testing.F) {
 		"", "?a rel", `?a "unterminated`, "? rel x", "e: rel x", "?a e:E1 ?b", "a b c d",
 		// Quoted literals that render back wrongly unless String quotes them.
 		"?s r \"a\tb\"", `?s r "?x"`, `?s r "_"`, `?s r "e:Foo"`, `?s "?p" ?o`,
+		// Clause separators inside quoted literals.
+		`?s r "a;b"`, "?s r \"a\nb\"",
 	} {
 		f.Add(src)
 	}

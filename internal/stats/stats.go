@@ -30,6 +30,7 @@ import (
 	"qkbfly/internal/kb/entityrepo"
 	"qkbfly/internal/nlp"
 	"qkbfly/internal/nlp/clause"
+	"qkbfly/internal/parallel"
 )
 
 // Stats holds the precomputed background statistics.
@@ -165,34 +166,54 @@ func Build(docs []*nlp.Document, repo *entityrepo.Repo, pipe *clause.Pipeline) *
 	}
 
 	// Pass 2: type signatures from clauses. Arguments are typed by anchor
-	// (entity types from the repository), NER label, or TIME.
+	// (entity types from the repository), NER label, or TIME. Documents
+	// are annotated on every core; their signatures are counted after,
+	// in document order.
 	if pipe != nil {
-		for _, doc := range docs {
-			clausesBySent := pipe.AnnotateDocument(doc)
-			for si := range doc.Sentences {
-				anchorAt := map[int]string{}
-				for _, a := range doc.Anchors {
-					if a.SentIndex != si {
-						continue
-					}
-					for k := a.Start; k < a.End; k++ {
-						anchorAt[k] = a.EntityID
-					}
-				}
-				for _, c := range clausesBySent[si] {
-					if c.Subject == nil {
-						continue
-					}
-					subjTypes := s.argTypes(&doc.Sentences[si], c.Subject.Head, anchorAt, repo)
-					for _, obj := range c.Args()[1:] {
-						objTypes := s.argTypes(&doc.Sentences[si], obj.Head, anchorAt, repo)
-						s.countSig(c.Pattern, subjTypes, objTypes)
-					}
-				}
+		sigs := make([][]signature, len(docs))
+		parallel.For(len(docs), func(i int) { sigs[i] = docSignatures(docs[i], repo, pipe) })
+		for _, ds := range sigs {
+			for _, sig := range ds {
+				s.countSig(sig.pattern, sig.subj, sig.obj)
 			}
 		}
 	}
 	return s
+}
+
+// signature is one (pattern, subject types, object types) observation of
+// a clause argument pair.
+type signature struct {
+	pattern   string
+	subj, obj []string
+}
+
+// docSignatures annotates doc in place and returns the type signature of
+// every (subject, object) argument pair of its clauses, in clause order.
+func docSignatures(doc *nlp.Document, repo *entityrepo.Repo, pipe *clause.Pipeline) []signature {
+	var out []signature
+	clausesBySent := pipe.AnnotateDocument(doc)
+	for si := range doc.Sentences {
+		anchorAt := map[int]string{}
+		for _, a := range doc.Anchors {
+			if a.SentIndex != si {
+				continue
+			}
+			for k := a.Start; k < a.End; k++ {
+				anchorAt[k] = a.EntityID
+			}
+		}
+		for _, c := range clausesBySent[si] {
+			if c.Subject == nil {
+				continue
+			}
+			subjTypes := argTypes(&doc.Sentences[si], c.Subject.Head, anchorAt, repo)
+			for _, obj := range c.Args()[1:] {
+				out = append(out, signature{c.Pattern, subjTypes, argTypes(&doc.Sentences[si], obj.Head, anchorAt, repo)})
+			}
+		}
+	}
+	return out
 }
 
 func docEntity(doc *nlp.Document) string {
@@ -203,7 +224,7 @@ func docEntity(doc *nlp.Document) string {
 }
 
 // argTypes determines the semantic types of a clause argument.
-func (s *Stats) argTypes(sent *nlp.Sentence, head int, anchorAt map[int]string, repo *entityrepo.Repo) []string {
+func argTypes(sent *nlp.Sentence, head int, anchorAt map[int]string, repo *entityrepo.Repo) []string {
 	if id, ok := anchorAt[head]; ok && repo != nil {
 		if e := repo.Get(id); e != nil {
 			return entityrepo.TypeClosure(e.Types)

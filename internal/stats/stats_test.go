@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -165,5 +167,25 @@ func TestBuildIsDeterministic(t *testing.T) {
 		if !slices.Equal(va.Terms, vb.Terms) || !slices.Equal(va.Weights, vb.Weights) {
 			t.Errorf("%s: context vectors differ", id)
 		}
+	}
+}
+
+// TestParallelBuildMatchesSerial: Build annotates documents on every core
+// and counts their type signatures after, in document order. The result —
+// priors, context vectors and type signatures — equals a build on one
+// core, field for field.
+func TestParallelBuildMatchesSerial(t *testing.T) {
+	w := corpus.NewWorld(corpus.SmallConfig())
+	pipe := clause.NewPipeline(w.Repo, depparse.Malt)
+	build := func(procs int) *Stats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Build(corpus.Docs(w.BackgroundCorpus()), w.Repo, pipe)
+	}
+	serial, par := build(1), build(4)
+	if len(serial.typeSig) == 0 || len(serial.anchorCount) == 0 || len(serial.ctx) == 0 {
+		t.Fatal("serial build counted nothing")
+	}
+	if !reflect.DeepEqual(serial, par) {
+		t.Fatal("parallel Build differs from a serial one")
 	}
 }
